@@ -188,15 +188,15 @@ fn run_pair(threads: usize, w: Workload) -> (Config, Config) {
             let f = run_t();
             let mid = global_stats();
             let s = run_b();
-            tvar_counters = add(&tvar_counters, &mid.since(&before));
-            boosted_counters = add(&boosted_counters, &global_stats().since(&mid));
+            tvar_counters = add(&tvar_counters, &mid.diff(&before));
+            boosted_counters = add(&boosted_counters, &global_stats().diff(&mid));
             (f, s)
         } else {
             let f = run_b();
             let mid = global_stats();
             let s = run_t();
-            boosted_counters = add(&boosted_counters, &mid.since(&before));
-            tvar_counters = add(&tvar_counters, &global_stats().since(&mid));
+            boosted_counters = add(&boosted_counters, &mid.diff(&before));
+            tvar_counters = add(&tvar_counters, &global_stats().diff(&mid));
             (f, s)
         };
         if round % 2 == 0 {
@@ -305,7 +305,7 @@ fn run_sweep<B: MapBackend<u64, u64>>(
     }
     let ns_per_op =
         start.elapsed().as_nanos() as f64 / (TXNS_PER_THREAD * ops_per_txn.max(1)) as f64;
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
     let txns = TXNS_PER_THREAD as f64;
     let acq = (sem.lock_acquisitions.load(Ordering::Relaxed) - acq0) as f64;
     let hits = (sem.lock_cache_hits.load(Ordering::Relaxed) - hits0) as f64;

@@ -82,8 +82,8 @@ fn run_pair(threads: usize) -> (Config, Config) {
         let mid = global_stats();
         let second_ns = run_once(threads, second);
         let (first_spins, second_spins) = (
-            mid.since(&before).stripe_lock_spins,
-            global_stats().since(&mid).stripe_lock_spins,
+            mid.diff(&before).stripe_lock_spins,
+            global_stats().diff(&mid).stripe_lock_spins,
         );
         let ((s_ns, s_sp), (x_ns, x_sp)) = if round % 2 == 0 {
             ((first_ns, first_spins), (second_ns, second_spins))
@@ -136,7 +136,7 @@ fn main() {
             striped.contended
         ));
     }
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
 
     println!("{{");
     println!("  \"bench\": \"collection_scaling\",");

@@ -70,7 +70,7 @@ fn main() {
             ser / sh
         ));
     }
-    let d = global_stats().since(&before);
+    let d = global_stats().diff(&before);
 
     println!("{{");
     println!("  \"bench\": \"commit_scaling\",");

@@ -157,7 +157,7 @@ fn run_pair(threads: usize) -> (Window, Window) {
             let acq0 = sem.lock_acquisitions.load(Ordering::Relaxed);
             let before = global_stats();
             let ns = run_read(&map, threads, snapshot);
-            let d = global_stats().since(&before);
+            let d = global_stats().diff(&before);
             let acq = sem.lock_acquisitions.load(Ordering::Relaxed) - acq0;
             let w = &mut windows[usize::from(snapshot)];
             w.0 += d.commits;
@@ -231,11 +231,11 @@ fn main() {
         let map = seeded_map();
         let before = global_stats();
         run_mixed(&map, false);
-        let val: StatsSnapshot = global_stats().since(&before);
+        let val: StatsSnapshot = global_stats().diff(&before);
         let map = seeded_map();
         let before = global_stats();
         run_mixed(&map, true);
-        let snap = global_stats().since(&before);
+        let snap = global_stats().diff(&before);
         snapshot_aborts_total += snap.aborts();
         snapshot_fallbacks_total += snap.snapshot_fallbacks;
         snapshot_txns_total += (MIXED_READERS as u64) * TXNS_PER_THREAD;

@@ -1,48 +1,42 @@
-//! txtop — conflict-provenance reporter over the STM trace layer.
+//! txtop — conflict-provenance reporter over the STM observability
+//! pipeline (`stm::obs`).
 //!
-//! `top` for transactions: runs a contended collection soak with tracing
-//! enabled (or validates a previously exported trace) and aggregates the
-//! event stream into the questions an STM user actually asks:
+//! `top` for transactions: runs a contended collection soak with recording
+//! enabled (or validates a previously exported trace) and answers the
+//! questions an STM user actually asks:
 //!
 //! * **Who conflicts with whom?** Doom edges grouped by collection class,
 //!   lock table and `(observation, effect)` mode pair — the dynamic
 //!   conflict matrix, with the paper-table pair that justified each doom.
-//! * **Where?** The hottest keys by stripe hash (doom edges + semantic
-//!   lock acquisitions).
+//! * **Where?** The hottest keys by stripe hash, and doom and blocked-stripe
+//!   rates per class and stripe.
 //! * **Why do attempts abort?** Cause breakdown, and how many doomed
 //!   aborts carry culprit attribution.
-//! * **Is the handler lane a bottleneck?** Lane occupancy: share of the
-//!   traced interval during which some transaction held the lane.
+//! * **How slow?** Commit, semantic-lock wait, txn wall and snapshot read
+//!   latency percentiles; handler-lane occupancy.
 //!
 //! ```sh
 //! cargo run -p bench --bin txtop -- --soak --threads 4 --txns 400 \
 //!     --export-json trace.json
 //! cargo run -p bench --bin txtop -- --validate trace.json
-//! cargo run -p bench --bin txtop -- --metrics --threads 4 --txns 400
-//! cargo run -p bench --bin txtop -- --metrics --validate
 //! ```
+//!
+//! `--soak` arms the flight recorder, so one run feeds the trace report,
+//! the metrics tables and the recorder. It also takes two Prometheus
+//! scrapes with soak activity between them and fails unless the exposition
+//! is parseable, internally consistent (cumulative buckets, `+Inf` ==
+//! `_count`) and monotone series-by-series.
 //!
 //! `--validate FILE` re-parses the exported JSON with a dependency-free
 //! recursive-descent parser and checks the structural invariants the CI
 //! traced-soak step relies on (schema version, event shapes, begin/terminal
 //! pairing, at least one incompatible doom edge, abort/edge attribution
 //! agreement). Exit status 0 = valid.
-//!
-//! `--metrics` runs the soak under the dimensional metrics layer
-//! (`stm::metrics`) with the flight recorder armed, then renders the
-//! windowed per-class/per-stripe doom-rate table, the hottest contended
-//! stripes, and the latency percentiles (commit, semantic-lock wait, txn
-//! wall, snapshot read). `--metrics --validate` instead takes two
-//! Prometheus scrapes with soak activity between them and checks the
-//! exposition is parseable, internally consistent (cumulative buckets,
-//! `+Inf` == `_count`), and monotone series-by-series — the CI metrics
-//! step. Exit status 0 = valid.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use stm::metrics::{self, MetricKind, ALL_HISTS};
-use stm::trace::{self, TraceConfig, TraceEvent};
-use stm::{atomic, atomic_read, global_stats, AbortCause};
+use stm::obs::{self, MetricKind, TraceEvent, ALL_HISTS};
+use stm::{atomic, atomic_read, AbortCause};
 use txcollections::TransactionalMap;
 
 // ----------------------------------------------------------------------
@@ -104,7 +98,7 @@ fn soak_round(threads: u64, txns: u64, repeat_keys: bool) {
 // Aggregation over a decoded snapshot
 // ----------------------------------------------------------------------
 
-fn report(snap: &trace::TraceSnapshot) {
+fn report(snap: &obs::TraceSnapshot) {
     let mut causes: HashMap<&'static str, u64> = HashMap::new();
     let mut attributed = 0u64;
     let mut doomed_aborts = 0u64;
@@ -115,24 +109,18 @@ fn report(snap: &trace::TraceSnapshot) {
     let mut lane_open: HashMap<u64, u64> = HashMap::new();
     let mut lane_busy_ns = 0u64;
     let (mut min_ts, mut max_ts) = (u64::MAX, 0u64);
-    let mut commits = 0u64;
     let (mut snapshot_txns, mut snapshot_served, mut snapshot_fallbacks) = (0u64, 0u64, 0u64);
 
     for e in &snap.events {
         match e {
-            TraceEvent::TxnCommit { ts, .. } => {
-                commits += 1;
-                min_ts = min_ts.min(*ts);
-                max_ts = max_ts.max(*ts);
-            }
-            TraceEvent::TxnBegin { ts, .. } => {
+            TraceEvent::TxnCommit { ts, .. } | TraceEvent::TxnBegin { ts, .. } => {
                 min_ts = min_ts.min(*ts);
                 max_ts = max_ts.max(*ts);
             }
             TraceEvent::TxnAbort {
                 cause, culprit, ts, ..
             } => {
-                *causes.entry(trace::cause_name(*cause)).or_default() += 1;
+                *causes.entry(obs::cause_name(*cause)).or_default() += 1;
                 if *cause == AbortCause::Doomed {
                     doomed_aborts += 1;
                     if *culprit != 0 {
@@ -188,7 +176,6 @@ fn report(snap: &trace::TraceSnapshot) {
         snap.events.len(),
         snap.dropped
     );
-    println!("commits: {commits}");
     println!(
         "snapshot txns: {snapshot_txns} ({snapshot_served} chain reads served, \
          {snapshot_fallbacks} fallbacks to the validated path)"
@@ -214,8 +201,8 @@ fn report(snap: &trace::TraceSnapshot) {
     for ((class, lock, obs, effect), (n, victims)) in rows {
         println!(
             "  {class:<12} {lock:<9} {:<7} -x- {:<12} {n:>5} edges, {} victims",
-            trace::obs_name(obs),
-            trace::effect_name(effect),
+            obs::obs_name(obs),
+            obs::effect_name(effect),
             victims.len()
         );
     }
@@ -245,49 +232,93 @@ fn report(snap: &trace::TraceSnapshot) {
 }
 
 // ----------------------------------------------------------------------
-// Dimensional metrics mode
+// The soak: one armed run feeds the trace report, the metrics tables, the
+// Prometheus check and the flight recorder
 // ----------------------------------------------------------------------
 
 /// How many landed dooms on one `(class, stripe)` within the soak window
 /// fire a flight-recorder dump.
 const METRICS_DOOM_THRESHOLD: u64 = 16;
 
-/// Run the soak under `stm::metrics` with the flight recorder armed, then
-/// render the windowed doom-rate table, hottest stripes, and latency
-/// percentiles.
-fn run_metrics_soak(threads: u64, txns: u64, repeat_keys: bool) -> ExitCode {
-    let cfg = metrics::FlightRecorderConfig {
+/// Arm the flight recorder (which keeps recording enabled), run soak rounds
+/// until a semantic doom shows, then render the provenance report and the
+/// windowed metrics, check two Prometheus scrapes taken with soak activity
+/// between them, poll the recorder, and optionally export the trace.
+fn run_soak(threads: u64, txns: u64, repeat_keys: bool, export: Option<String>) -> ExitCode {
+    let cfg = obs::FlightRecorderConfig {
         dir: std::env::temp_dir().join(format!("stm-flightrec-{}", std::process::id())),
         doom_threshold: METRICS_DOOM_THRESHOLD,
-        ring_slots: 1 << 16,
     };
-    let mut rec = match metrics::FlightRecorder::arm(cfg) {
+    let mut rec = match obs::FlightRecorder::arm(cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("txtop: cannot arm the flight recorder: {e}");
             return ExitCode::FAILURE;
         }
     };
-
-    let before = metrics::window();
-    // Same widening loop as --soak: a lucky serialized round on a 1-CPU
-    // host may produce no semantic doom at all.
-    let mut rounds = 0;
+    let before = obs::window();
+    soak_round(threads, txns, repeat_keys);
+    let first_scrape = obs::window().to_prometheus();
+    // Single-CPU hosts can get lucky and serialize a small round without a
+    // single live-across-commit window; widen until a doom lands.
+    let mut rounds = 1;
     loop {
         soak_round(threads, txns, repeat_keys);
         rounds += 1;
-        let w = metrics::window().diff(&before);
-        if w.kind_total(MetricKind::Doom) > 0 || rounds >= 10 {
+        if obs::window().diff(&before).kind_total(MetricKind::Doom) > 0 || rounds >= 10 {
             break;
         }
     }
-    let w = metrics::window().diff(&before);
-    let secs = (w.wall_ns() as f64 / 1e9).max(1e-9);
+    let second_scrape = obs::window().to_prometheus();
+    let snap = obs::snapshot();
+    let w = obs::window().diff(&before);
 
-    println!("== txtop: dimensional metrics ==");
+    println!("soak: {threads} threads x {txns} txns x {rounds} round(s)");
+    report(&snap);
+    report_metrics(&w);
+
+    println!("\n-- prometheus exposition --");
+    let prometheus = validate_prometheus(&first_scrape, &second_scrape);
+    match &prometheus {
+        Ok(summary) => println!("  {summary}"),
+        Err(e) => eprintln!("txtop: prometheus exposition INVALID: {e}"),
+    }
+
+    println!("\n-- flight recorder --");
+    match rec.poll() {
+        Ok(Some(path)) => println!(
+            "  doom threshold ({METRICS_DOOM_THRESHOLD}/window) crossed; dump: {}",
+            path.display()
+        ),
+        Ok(None) => {
+            println!("  no (class, stripe) crossed {METRICS_DOOM_THRESHOLD} dooms in the window")
+        }
+        Err(e) => {
+            eprintln!("txtop: flight-recorder dump failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Some(path) = export {
+        let json = snap.to_json();
+        if let Err(e) = std::fs::write(&path, &json) {
+            eprintln!("txtop: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("\nexported {} bytes to {path}", json.len());
+    }
+    if prometheus.is_err() {
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Render the windowed counters, the per-class/per-stripe doom-rate and
+/// blocked-stripe tables, and the latency percentiles.
+fn report_metrics(w: &obs::MetricsWindow) {
+    let secs = (w.wall_ns() as f64 / 1e9).max(1e-9);
+    println!("\n== txtop: dimensional metrics ==");
     println!(
-        "window: {secs:.2}s over {rounds} round(s) ({threads} threads x {txns} txns), \
-         {} dropped increments",
+        "window: {secs:.2}s, {} dropped slab increments",
         w.dropped()
     );
     println!(
@@ -305,33 +336,33 @@ fn run_metrics_soak(threads: u64, txns: u64, repeat_keys: bool) -> ExitCode {
         w.kind_total(MetricKind::EpochPin),
         w.kind_total(MetricKind::SnapshotFallback),
     );
-
-    println!("\n-- doom rate by class and stripe --");
-    let dooms = w.by_class_stripe(MetricKind::Doom);
-    if dooms.is_empty() {
-        println!("  (no semantic dooms in the window)");
-    }
-    for &(class, stripe, n) in dooms.iter().take(10) {
-        println!(
-            "  {:<16} stripe {:<7} {n:>6} dooms  ({:.1}/s)",
-            class.name(),
-            metrics::stripe_label(stripe),
-            n as f64 / secs
-        );
-    }
-
-    println!("\n-- hottest contended stripes (blocked acquisitions) --");
-    let blocked = w.by_class_stripe(MetricKind::StripeBlocked);
-    if blocked.is_empty() {
-        println!("  (no stripe ever blocked)");
-    }
-    for &(class, stripe, n) in blocked.iter().take(5) {
-        println!(
-            "  {:<16} stripe {:<7} {n:>6} blocked  ({:.1}/s)",
-            class.name(),
-            metrics::stripe_label(stripe),
-            n as f64 / secs
-        );
+    for (kind, title, noun, top) in [
+        (
+            MetricKind::Doom,
+            "doom rate by class and stripe",
+            "dooms",
+            10,
+        ),
+        (
+            MetricKind::StripeBlocked,
+            "hottest contended stripes",
+            "blocked",
+            5,
+        ),
+    ] {
+        println!("\n-- {title} --");
+        let rows = w.by_class_stripe(kind);
+        if rows.is_empty() {
+            println!("  (none in the window)");
+        }
+        for &(class, stripe, n) in rows.iter().take(top) {
+            println!(
+                "  {:<16} stripe {:<7} {n:>6} {noun}  ({:.1}/s)",
+                class.name(),
+                obs::stripe_label(stripe),
+                n as f64 / secs
+            );
+        }
     }
 
     println!("\n-- latency percentiles (ns, log2 bucket upper bounds) --");
@@ -341,55 +372,16 @@ fn run_metrics_soak(threads: u64, txns: u64, repeat_keys: bool) -> ExitCode {
     );
     for kind in ALL_HISTS {
         let h = w.histogram(kind);
-        if h.count() == 0 {
-            continue;
-        }
-        println!(
-            "  {:<24} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            kind.name(),
-            h.count(),
-            h.p50(),
-            h.p90(),
-            h.p99(),
-            h.max
-        );
-    }
-
-    println!("\n-- flight recorder --");
-    match rec.poll() {
-        Ok(Some(path)) => println!(
-            "  doom threshold ({METRICS_DOOM_THRESHOLD}/window) crossed; dump: {}",
-            path.display()
-        ),
-        Ok(None) => {
-            println!("  no (class, stripe) crossed {METRICS_DOOM_THRESHOLD} dooms in the window")
-        }
-        Err(e) => {
-            eprintln!("txtop: flight-recorder dump failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `--metrics --validate`: two cumulative Prometheus scrapes with soak
-/// activity between them must parse, be internally consistent, and be
-/// monotone per series.
-fn run_metrics_validate(threads: u64, txns: u64) -> ExitCode {
-    let guard = metrics::MetricsConfig::default().enable();
-    soak_round(threads, txns, false);
-    let first = metrics::window().to_prometheus();
-    soak_round(threads, txns, false);
-    let second = metrics::window().to_prometheus();
-    drop(guard);
-    match validate_prometheus(&first, &second) {
-        Ok(summary) => {
-            println!("txtop: {summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("txtop: prometheus exposition INVALID: {e}");
-            ExitCode::FAILURE
+        if h.count() > 0 {
+            println!(
+                "  {:<24} {:>8} {:>10} {:>10} {:>10} {:>10}",
+                kind.name(),
+                h.count(),
+                h.p50(),
+                h.p90(),
+                h.p99(),
+                h.max
+            );
         }
     }
 }
@@ -826,10 +818,10 @@ fn validate(text: &str) -> Result<String, String> {
                 if !["key", "size", "empty", "endpoint", "range", "full"].contains(&lock) {
                     return Err(format!("event {i}: unknown lock table \"{lock}\""));
                 }
-                if !trace::OBS_NAMES.contains(&obs) {
+                if !obs::OBS_NAMES.contains(&obs) {
                     return Err(format!("event {i}: unknown obs mode \"{obs}\""));
                 }
-                if !trace::EFFECT_NAMES.contains(&effect) {
+                if !obs::EFFECT_NAMES.contains(&effect) {
                     return Err(format!("event {i}: unknown effect \"{effect}\""));
                 }
                 match ev.get("compatible") {
@@ -940,9 +932,7 @@ fn validate(text: &str) -> Result<String, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: txtop --soak [--threads N] [--txns N] [--repeat-keys] [--export-json FILE]\n\
-        \x20      txtop --validate FILE\n\
-        \x20      txtop --metrics [--threads N] [--txns N] [--repeat-keys]\n\
-        \x20      txtop --metrics --validate [--threads N] [--txns N]"
+        \x20      txtop --validate FILE"
     );
     ExitCode::from(2)
 }
@@ -955,14 +945,10 @@ fn main() -> ExitCode {
     let mut export: Option<String> = None;
     let mut validate_file: Option<String> = None;
     let mut repeat_keys = false;
-
-    let mut metrics_validate = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--soak" => mode = Some("soak"),
-            "--metrics" => mode = Some("metrics"),
-            "--validate" if mode == Some("metrics") => metrics_validate = true,
             "--validate" => {
                 mode = Some("validate");
                 validate_file = it.next().cloned();
@@ -976,57 +962,7 @@ fn main() -> ExitCode {
     }
 
     match mode {
-        Some("soak") => {
-            let before = global_stats();
-            // Generous rings: the report is more useful when lifecycle
-            // events survive alongside the (rarer) doom edges.
-            let guard = TraceConfig {
-                ring_slots: 1 << 16,
-            }
-            .enable();
-            // Single-CPU hosts can get lucky and serialize a small round
-            // without a single live-across-commit window; widen until the
-            // trace shows at least one semantic doom.
-            let mut rounds = 0;
-            loop {
-                soak_round(threads, txns, repeat_keys);
-                rounds += 1;
-                let snap = trace::snapshot();
-                let has_edge = snap
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, TraceEvent::DoomEdge { .. }));
-                if has_edge || rounds >= 10 {
-                    break;
-                }
-            }
-            let snap = trace::snapshot();
-            drop(guard);
-            let d = global_stats().since(&before);
-            println!(
-                "soak: {threads} threads x {txns} txns x {rounds} round(s), \
-                 {} commits, {} doomed aborts (stats)",
-                d.commits,
-                d.dooms_absorbed()
-            );
-            report(&snap);
-            if let Some(path) = export {
-                let json = snap.to_json();
-                if let Err(e) = std::fs::write(&path, &json) {
-                    eprintln!("txtop: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("\nexported {} bytes to {path}", json.len());
-            }
-            ExitCode::SUCCESS
-        }
-        Some("metrics") => {
-            if metrics_validate {
-                run_metrics_validate(threads, txns)
-            } else {
-                run_metrics_soak(threads, txns, repeat_keys)
-            }
-        }
+        Some("soak") => run_soak(threads, txns, repeat_keys, export),
         Some("validate") => {
             let Some(path) = validate_file else {
                 return usage();

@@ -20,7 +20,10 @@
 //! 2. **Direct applies** ([`MapApplyOps`], [`QueueApplyOps`]) — mutations,
 //!    run from commit handlers in direct mode under the handler lane (or,
 //!    for eager classes, from the body with logged compensation). A TVar
-//!    backend publishes these through the direct-mode write path; a boosted
+//!    backend runs each apply inside one [`Txn::write_group`], so every var
+//!    the operation changes (a tree rotation, a bucket plus the size
+//!    header) publishes as one write set at one version before the apply
+//!    returns — no reader ever sees the structure half updated. A boosted
 //!    backend mutates its own concurrent structure in place.
 //! 3. **Undo** ([`MapUndo`]) — the compensation surface: an eager class
 //!    logs one [`UndoOp`] per first in-place write and the abort path
@@ -268,10 +271,10 @@ macro_rules! delegate_map_backend {
             V: $($vb)* + Send + Sync + 'static,
         {
             fn insert(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
-                delegate_map_backend!(@call $mode, $backend::insert, self, tx, key, value)
+                delegate_map_backend!(@apply $mode, $backend::insert, self, tx, key, value)
             }
             fn remove(&self, tx: &mut Txn, key: &K) -> Option<V> {
-                delegate_map_backend!(@call $mode, $backend::remove, self, tx, key)
+                delegate_map_backend!(@apply $mode, $backend::remove, self, tx, key)
             }
         }
         impl<K, V> MapUndo<K, V> for $backend<K, V>
@@ -294,6 +297,14 @@ macro_rules! delegate_map_backend {
         let _ = $tx;
         $f($self $(, $arg)*)
     }};
+    // A TVar apply publishes its writes as one write group, so a reader
+    // never sees a multi-var update (a tree rotation) half done.
+    (@apply tx, $f:path, $self:expr, $tx:expr $(, $arg:expr)*) => {
+        $tx.write_group(|tx| $f($self, tx $(, $arg)*))
+    };
+    (@apply direct, $($rest:tt)*) => {
+        delegate_map_backend!(@call direct, $($rest)*)
+    };
 }
 
 /// Implement [`SortedReadOps`] by delegation; same mode tokens as
@@ -356,13 +367,13 @@ macro_rules! delegate_queue_backend {
             T: $($tb)* + Send + Sync + 'static,
         {
             fn push_back(&self, tx: &mut Txn, item: T) {
-                delegate_map_backend!(@call $mode, $backend::push_back, self, tx, item)
+                delegate_map_backend!(@apply $mode, $backend::push_back, self, tx, item)
             }
             fn push_front(&self, tx: &mut Txn, item: T) {
-                delegate_map_backend!(@call $mode, $backend::push_front, self, tx, item)
+                delegate_map_backend!(@apply $mode, $backend::push_front, self, tx, item)
             }
             fn pop_front(&self, tx: &mut Txn) -> Option<T> {
-                delegate_map_backend!(@call $mode, $backend::pop_front, self, tx)
+                delegate_map_backend!(@apply $mode, $backend::pop_front, self, tx)
             }
         }
     };

@@ -31,7 +31,7 @@
 use std::sync::OnceLock;
 
 use crate::locks::{ObsMode, UpdateEffect};
-use stm::trace::LockKind;
+use stm::obs::LockKind;
 
 /// When a declared conflict applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -52,7 +52,7 @@ use crate::locks::{
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::marker::PhantomData;
-use stm::trace::{self, LockKind};
+use stm::obs::{self, LockKind};
 use stm::{TxState, Txn, TxnMode};
 use txstruct::{BoostedHashMap, TxHashMap};
 
@@ -448,7 +448,7 @@ where
                 }
             }
             stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(
+            obs::sem_lock_acquired(
                 owner.id(),
                 stats.class_sym(),
                 LockKind::Key,
@@ -491,7 +491,7 @@ where
         let stats = self.core.stats();
         let pending = class.tables.with_global(stats, |g| {
             stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
+            obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
             g.size_lockers.insert(owner);
             g.pending_delta
         });
@@ -547,7 +547,7 @@ where
                 }
             }
             stats.bump(&stats.lock_acquisitions, 1);
-            trace::sem_lock_acquired(
+            obs::sem_lock_acquired(
                 owner.id(),
                 stats.class_sym(),
                 LockKind::Key,

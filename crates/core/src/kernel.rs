@@ -97,7 +97,7 @@ use std::any::Any;
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::sync::Arc;
-use stm::trace::LockKind;
+use stm::obs::LockKind;
 use stm::{Txn, TxnMode};
 
 // ----------------------------------------------------------------------
@@ -458,9 +458,7 @@ impl<C: SemanticClass> SemanticCore<C> {
             .is_some_and(|k| cached_keys::<Q>(k).contains(key));
         if hit {
             self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::record_lock_cache_hit();
-            stm::metrics::cache_hit(self.inner.stats.class_sym());
-            stm::trace::lock_cache_hit(
+            stm::obs::lock_cache_hit(
                 tx.handle().id(),
                 self.inner.stats.class_sym(),
                 LockKind::Key,
@@ -501,9 +499,7 @@ impl<C: SemanticClass> SemanticCore<C> {
         let hit = slot.points & p.bit() != 0;
         if hit {
             self.inner.stats.bump(&self.inner.stats.lock_cache_hits, 1);
-            stm::record_lock_cache_hit();
-            stm::metrics::cache_hit(self.inner.stats.class_sym());
-            stm::trace::lock_cache_hit(
+            stm::obs::lock_cache_hit(
                 tx.handle().id(),
                 self.inner.stats.class_sym(),
                 p.lock_kind(),

@@ -93,8 +93,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use stm::metrics;
-use stm::trace::{self, LockKind};
+use stm::obs::{self, LockKind};
 use stm::{TxHandle, TxState};
 
 /// Default number of key stripes in a collection's semantic lock table
@@ -241,7 +240,7 @@ impl ObsMode {
     ];
 
     /// Stable wire code of this mode in trace events (the index into
-    /// [`stm::trace::OBS_NAMES`]).
+    /// [`stm::obs::OBS_NAMES`]).
     pub fn code(self) -> u8 {
         match self {
             ObsMode::Key => 0,
@@ -303,7 +302,7 @@ impl UpdateEffect {
     ];
 
     /// Stable wire code of this effect in trace events (the index into
-    /// [`stm::trace::EFFECT_NAMES`]).
+    /// [`stm::obs::EFFECT_NAMES`]).
     pub fn code(self) -> u8 {
         match self {
             UpdateEffect::KeyWrite => 0,
@@ -437,13 +436,13 @@ impl SemanticStats {
     /// `SemanticCore::new`; not on any hot path.
     pub fn set_class(&self, name: &'static str) {
         self.class
-            .store(trace::intern(name).0 as u32, Ordering::Relaxed);
+            .store(obs::intern(name).0 as u32, Ordering::Relaxed);
     }
 
-    /// The interned class-name symbol ([`stm::trace::Sym::UNKNOWN`] when
+    /// The interned class-name symbol ([`stm::obs::Sym::UNKNOWN`] when
     /// [`SemanticStats::set_class`] never ran).
-    pub fn class_sym(&self) -> trace::Sym {
-        trace::Sym(self.class.load(Ordering::Relaxed) as u16)
+    pub fn class_sym(&self) -> obs::Sym {
+        obs::Sym(self.class.load(Ordering::Relaxed) as u16)
     }
 }
 
@@ -468,25 +467,24 @@ impl DoomCtx<'_> {
     /// that justified it.
     pub(crate) fn emit(&self, doomer: u64, victim: u64) {
         let overlap = matches!(self.obs, ObsMode::Key | ObsMode::Range);
-        trace::doom_edge(
+        // Key dooms are attributed to the key's default-grid stripe bucket
+        // (the fold `stripe_index` applies, at DEFAULT_STRIPES width); every
+        // other mode's lock lives in the global stripe.
+        let stripe = match self.obs {
+            ObsMode::Key => (self.key_hash ^ (self.key_hash >> 32)) & (DEFAULT_STRIPES as u64 - 1),
+            _ => u64::MAX,
+        };
+        obs::doom_edge(
             doomer,
             victim,
             self.stats.class_sym(),
             self.obs.lock_kind(),
             self.key_hash,
+            stripe,
             self.obs.code(),
             self.effect.code(),
             mode_compatible(self.obs, self.effect, overlap),
         );
-        // Dimensional doom counter. Key dooms are attributed to the key's
-        // default-grid stripe bucket (the fold `stripe_index` applies, at
-        // DEFAULT_STRIPES width); every other mode's lock lives in the
-        // global stripe.
-        let stripe = match self.obs {
-            ObsMode::Key => (self.key_hash ^ (self.key_hash >> 32)) & (DEFAULT_STRIPES as u64 - 1),
-            _ => u64::MAX,
-        };
-        metrics::doom_landed(self.stats.class_sym(), stripe);
     }
 }
 
@@ -543,7 +541,7 @@ impl<K> Default for KeyLockShard<K> {
 impl<K: Clone + Eq + Hash> KeyLockShard<K> {
     pub(crate) fn take_key_lock(&mut self, key: K, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(
+        obs::sem_lock_acquired(
             owner.id(),
             stats.class_sym(),
             LockKind::Key,
@@ -611,7 +609,7 @@ impl<K: Clone + Eq + Hash> KeyLockShard<K> {
                 released += 1;
             }
         }
-        trace::sem_lock_released(owner_id, stats.class_sym(), LockKind::Key, released);
+        obs::sem_lock_released(owner_id, stats.class_sym(), LockKind::Key, released);
     }
 
     /// Number of distinct keys currently locked in this stripe.
@@ -632,13 +630,13 @@ pub(crate) struct PointLocks {
 impl PointLocks {
     pub(crate) fn take_size_lock(&mut self, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
+        obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Size, 0);
         self.size_lockers.insert(owner);
     }
 
     pub(crate) fn take_empty_lock(&mut self, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
+        obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
         self.empty_lockers.insert(owner);
     }
 
@@ -695,13 +693,13 @@ impl PointLocks {
         self.size_lockers.retain(|o| o.id() != owner_id);
         self.empty_lockers.retain(|o| o.id() != owner_id);
         let sym = stats.class_sym();
-        trace::sem_lock_released(
+        obs::sem_lock_released(
             owner_id,
             sym,
             LockKind::Size,
             (sizes - self.size_lockers.len()) as u64,
         );
-        trace::sem_lock_released(
+        obs::sem_lock_released(
             owner_id,
             sym,
             LockKind::Empty,
@@ -737,19 +735,16 @@ impl<G> GlobalStripe<G> {
     /// each visit closes its stripe before the next acquisition).
     pub(crate) fn with<R>(&self, stats: &SemanticStats, f: impl FnOnce(&mut G) -> R) -> R {
         stats.global_stripe_entries.fetch_add(1, Ordering::Relaxed);
-        stm::record_global_stripe_entry();
+        obs::global_stripe_entry();
         let mut guard = match self.inner.try_lock() {
             Some(g) => g,
             None => {
                 stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                stm::record_stripe_lock_spin();
                 // Global-stripe contention: stripe index u64::MAX by
-                // convention (see `trace::TraceEvent::SemLockBlocked`).
-                trace::sem_lock_blocked(stats.class_sym(), u64::MAX);
-                metrics::stripe_blocked(stats.class_sym(), u64::MAX);
-                let wait_t0 = metrics::timer();
+                // convention (see `obs::TraceEvent::SemLockBlocked`).
+                let wait_t0 = obs::sem_lock_blocked(stats.class_sym(), u64::MAX);
                 let g = self.inner.lock();
-                metrics::hist_elapsed(metrics::HistKind::SemLockWait, wait_t0);
+                obs::hist_elapsed(obs::HistKind::SemLockWait, wait_t0);
                 g
             }
         };
@@ -833,12 +828,9 @@ impl<S, G> StripedTables<S, G> {
             Some(g) => g,
             None => {
                 stats.stripe_lock_spins.fetch_add(1, Ordering::Relaxed);
-                stm::record_stripe_lock_spin();
-                trace::sem_lock_blocked(stats.class_sym(), idx as u64);
-                metrics::stripe_blocked(stats.class_sym(), idx as u64);
-                let wait_t0 = metrics::timer();
+                let wait_t0 = obs::sem_lock_blocked(stats.class_sym(), idx as u64);
                 let g = self.stripes[idx].lock();
-                metrics::hist_elapsed(metrics::HistKind::SemLockWait, wait_t0);
+                obs::hist_elapsed(obs::HistKind::SemLockWait, wait_t0);
                 g
             }
         }
@@ -1082,13 +1074,13 @@ impl<K: Clone + Ord> SortedLockTables<K> {
 
     pub(crate) fn take_first_lock(&mut self, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
+        obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
         self.first_lockers.insert(owner);
     }
 
     pub(crate) fn take_last_lock(&mut self, owner: Owner, stats: &SemanticStats) {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
+        obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Endpoint, 0);
         self.last_lockers.insert(owner);
     }
 
@@ -1102,7 +1094,7 @@ impl<K: Clone + Ord> SortedLockTables<K> {
         stats: &SemanticStats,
     ) -> u64 {
         stats.bump(&stats.lock_acquisitions, 1);
-        trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Range, 0);
+        obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Range, 0);
         match &mut self.ranges {
             RangeStore::Flat { locks, next_id } => {
                 let id = *next_id;
@@ -1353,8 +1345,8 @@ impl<K: Clone + Ord> SortedLockTables<K> {
             }
         }
         let sym = stats.class_sym();
-        trace::sem_lock_released(owner_id, sym, LockKind::Endpoint, endpoints_released as u64);
-        trace::sem_lock_released(owner_id, sym, LockKind::Range, ranges_released);
+        obs::sem_lock_released(owner_id, sym, LockKind::Endpoint, endpoints_released as u64);
+        obs::sem_lock_released(owner_id, sym, LockKind::Range, ranges_released);
     }
 }
 

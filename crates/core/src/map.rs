@@ -331,7 +331,10 @@ where
     /// sweep discipline).
     fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
         let size_before = self.backend.len(htx) as isize;
-        let mut size_after = size_before;
+        let mut size_now = size_before;
+        // Key applies publish one at a time, so a size observer may read any
+        // size between them: track the range every state falls in.
+        let (mut size_min, mut size_max) = (size_before, size_before);
         let global = self.tables.commit_sweep(
             stats,
             id,
@@ -341,7 +344,8 @@ where
                 BufWrite::Put(v) => {
                     let old = self.backend.insert(htx, k.clone(), v.clone());
                     if old.is_none() {
-                        size_after += 1;
+                        size_now += 1;
+                        size_max = size_max.max(size_now);
                     }
                     // put conflicts with any reader of this key (Table 2).
                     cx.doom(UpdateEffect::KeyWrite, k);
@@ -349,7 +353,8 @@ where
                 BufWrite::Remove => {
                     let old = self.backend.remove(htx, k);
                     if old.is_some() {
-                        size_after -= 1;
+                        size_now -= 1;
+                        size_min = size_min.min(size_now);
                         // Removing nothing conflicts with nobody (Table 1).
                         cx.doom(UpdateEffect::KeyWrite, k);
                     }
@@ -360,9 +365,11 @@ where
         // hold, so a size/empty observer locking after this scan reads the
         // fully applied post-commit state.
         global.finish(|g| {
-            if size_after != size_before {
+            // Doom an observer whenever some state it may have read differs
+            // from the final one — not only when the net size changed.
+            if size_min != size_max {
                 g.doom(UpdateEffect::SizeChange);
-                if (size_before == 0) != (size_after == 0) {
+                if (size_min == 0) != (size_max == 0) {
                     g.doom(UpdateEffect::ZeroCross);
                 }
             }

@@ -39,7 +39,7 @@ use crate::locks::{
 };
 use std::collections::HashSet;
 use std::marker::PhantomData;
-use stm::trace::{self, LockKind};
+use stm::obs::{self, LockKind};
 use stm::{Txn, TxnMode};
 use txstruct::TxVecDeque;
 
@@ -304,13 +304,13 @@ fn release_queue_locks(tables: &mut QueueTables, id: u64, stats: &SemanticStats)
     tables.empty_lockers.retain(|o| o.id() != id);
     tables.full_lockers.retain(|o| o.id() != id);
     let sym = stats.class_sym();
-    trace::sem_lock_released(
+    obs::sem_lock_released(
         id,
         sym,
         LockKind::Empty,
         (empties - tables.empty_lockers.len()) as u64,
     );
-    trace::sem_lock_released(
+    obs::sem_lock_released(
         id,
         sym,
         LockKind::Full,
@@ -430,7 +430,7 @@ where
         let stats = self.core.stats();
         stats.bump(&stats.lock_acquisitions, 1);
         self.core.class().tables.with(stats, |t| {
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
+            obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Empty, 0);
             t.empty_lockers.insert(owner);
         });
         self.core.note_point_lock(tx, CachedPoint::Empty);
@@ -444,7 +444,7 @@ where
         let stats = self.core.stats();
         stats.bump(&stats.lock_acquisitions, 1);
         self.core.class().tables.with(stats, |t| {
-            trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Full, 0);
+            obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Full, 0);
             t.full_lockers.insert(owner);
         });
         self.core.note_point_lock(tx, CachedPoint::Full);

@@ -408,7 +408,10 @@ where
         let first_before = self.backend.first_entry(htx).map(|(k, _)| k);
         let last_before = self.backend.last_entry(htx).map(|(k, _)| k);
         let size_before = self.backend.len(htx) as isize;
-        let mut size_after = size_before;
+        let mut size_now = size_before;
+        // Key applies publish one at a time, so a size observer may read any
+        // size between them: track the range every state falls in.
+        let (mut size_min, mut size_max) = (size_before, size_before);
 
         // Phase 1 — key stripes, ascending (kernel sweep): apply each
         // buffered write and doom key-lock observers under the key's
@@ -425,7 +428,8 @@ where
                 FootprintOp::Apply(k, BufWrite::Put(v)) => {
                     let old = self.backend.insert(htx, k.clone(), v.clone());
                     if old.is_none() {
-                        size_after += 1;
+                        size_now += 1;
+                        size_max = size_max.max(size_now);
                     }
                     let doomed = shard.doom_update(UpdateEffect::KeyWrite, k, id, stats);
                     stats.bump(&stats.key_conflicts, doomed);
@@ -434,7 +438,8 @@ where
                 FootprintOp::Apply(k, BufWrite::Remove) => {
                     let old = self.backend.remove(htx, k);
                     if old.is_some() {
-                        size_after -= 1;
+                        size_now -= 1;
+                        size_min = size_min.min(size_now);
                         let doomed = shard.doom_update(UpdateEffect::KeyWrite, k, id, stats);
                         stats.bump(&stats.key_conflicts, doomed);
                         changed_keys.push(k);
@@ -470,10 +475,12 @@ where
                         .doom_update(UpdateEffect::LastChange, None, 0, id, stats);
                 stats.bump(&stats.last_conflicts, by_last);
             }
-            if size_after != size_before {
+            // Doom an observer whenever some state it may have read differs
+            // from the final one — not only when the net size changed.
+            if size_min != size_max {
                 let (by_size, _) = g.points.doom_update(UpdateEffect::SizeChange, id, stats);
                 stats.bump(&stats.size_conflicts, by_size);
-                if (size_before == 0) != (size_after == 0) {
+                if (size_min == 0) != (size_max == 0) {
                     let (_, by_empty) = g.points.doom_update(UpdateEffect::ZeroCross, id, stats);
                     stats.bump(&stats.empty_conflicts, by_empty);
                 }

@@ -369,7 +369,7 @@ fn uid_generator_scales_and_stays_unique() {
             });
         }
     });
-    let diff = stm::global_stats().since(&before);
+    let diff = stm::global_stats().diff(&before);
     let mut v = ids.lock().clone();
     v.sort_unstable();
     v.dedup();

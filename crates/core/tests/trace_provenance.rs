@@ -9,7 +9,7 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
-use stm::trace::{snapshot, LockKind, TraceConfig, TraceEvent};
+use stm::obs::{snapshot, LockKind, TraceEvent};
 use stm::{atomic, AbortCause};
 use txcollections::{
     key_hash64, mode_compatible, ObsMode, TransactionalMap, TransactionalSortedMap, UpdateEffect,
@@ -43,7 +43,7 @@ fn doomed_pair(
 #[test]
 fn map_key_conflict_edge_carries_full_provenance() {
     let _g = serialize();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
 
     let m: TransactionalMap<u32, String> = TransactionalMap::new();
     atomic(|tx| m.put_discard(tx, 1, "a".into()));
@@ -105,7 +105,7 @@ fn map_key_conflict_edge_carries_full_provenance() {
 #[test]
 fn map_size_conflict_edge_has_point_lock_pair() {
     let _g = serialize();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
 
     let m: TransactionalMap<u32, u64> = TransactionalMap::new();
     let (r, w) = (m.clone(), m.clone());
@@ -135,7 +135,7 @@ fn map_size_conflict_edge_has_point_lock_pair() {
 #[test]
 fn sorted_map_endpoint_conflict_names_its_class() {
     let _g = serialize();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
 
     let m: TransactionalSortedMap<u32, u64> = TransactionalSortedMap::new();
     atomic(|tx| {
@@ -173,7 +173,7 @@ fn sorted_map_endpoint_conflict_names_its_class() {
 #[test]
 fn threaded_doom_edge_agrees_with_abort_attribution() {
     let _g = serialize();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
     const WAIT: Duration = Duration::from_secs(10);
 
     let m: TransactionalMap<u32, u64> = TransactionalMap::new();

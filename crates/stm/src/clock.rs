@@ -58,8 +58,7 @@
 //! are only ever held for bounded, non-blocking critical sections, so the
 //! lane-holder's direct writes (which spin on var locks) always terminate.
 
-use crate::stats;
-use crate::trace;
+use crate::obs;
 use crate::tvar::AnyVar;
 use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
@@ -87,10 +86,8 @@ pub(crate) fn fresh_version() -> u64 {
 /// `txn` is the holding attempt's id, recorded on the trace lane-occupancy
 /// events (enter after acquisition, exit on drop).
 pub(crate) fn lane_lock(txn: u64) -> LaneGuard {
-    stats::record_lane_entry();
-    crate::metrics::lane_entered();
     let inner = HANDLER_LANE.lock();
-    trace::lane_enter(txn);
+    obs::lane_enter(txn);
     LaneGuard { txn, _inner: inner }
 }
 
@@ -103,7 +100,7 @@ pub(crate) struct LaneGuard {
 
 impl Drop for LaneGuard {
     fn drop(&mut self) {
-        trace::lane_exit(self.txn);
+        obs::lane_exit(self.txn);
     }
 }
 
@@ -114,8 +111,7 @@ pub(crate) fn lock_var_spin(var: &dyn AnyVar) {
     if var.try_lock_commit() {
         return;
     }
-    stats::record_var_lock_spin();
-    trace::var_lock_spin(var.id());
+    obs::var_lock_spin(var.id());
     loop {
         std::hint::spin_loop();
         std::thread::yield_now();
@@ -162,9 +158,10 @@ pub(crate) fn publish_direct(var: &dyn AnyVar, val: &(dyn Any + Send + Sync)) {
 /// commit. Dropping the guard before [`publish`](Self::publish) (validation
 /// failure, doom) releases every lock with versions unchanged.
 ///
-/// The guard *borrows* the write set's vars from the committing frame — the
-/// frame outlives every commit attempt, so taking an `Arc` refcount per var
-/// per attempt would be pure overhead on the commit hot path.
+/// The guard *borrows* the write set's vars from the committing frame (or
+/// from a direct-mode write group, `Txn::write_group`) — the frame outlives
+/// every commit attempt, so taking an `Arc` refcount per var per attempt
+/// would be pure overhead on the commit hot path.
 pub(crate) struct CommitGuard<'a> {
     locked: Vec<&'a dyn AnyVar>,
     armed: bool,

@@ -29,7 +29,7 @@
 //! stable, so any committer that could have missed the pin provably drew a
 //! write version at or below the pinned epoch — the new head itself serves
 //! the snapshot and no reclaimed entry is needed. The remaining *counted
-//! fallback* cases (`stats::snapshot_fallbacks`) are the chain depth bound
+//! fallback* cases (`StatsSnapshot::snapshot_fallbacks`) are the chain depth bound
 //! (a pin outrun by more than `MAX_CHAIN_DEPTH` publishes to one var) and
 //! snapshot-incapable backends; neither is ever an inconsistent read.
 
@@ -128,7 +128,7 @@ impl Drop for PinGuard {
 /// depth bound (a pin outrun by more than `MAX_CHAIN_DEPTH` publishes to
 /// one var) and snapshot-incapable backends.
 pub(crate) fn pin() -> PinGuard {
-    crate::metrics::pin_entered();
+    crate::obs::epoch_pin();
     let mut epoch = crate::clock::now();
     let first = PIN_STATE.with(|st| {
         let mut st = st.borrow_mut();

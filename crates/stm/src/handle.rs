@@ -23,7 +23,7 @@
 //! of the two CASes wins; a doomed transaction can never publish, and a
 //! transaction that has started publishing can never be doomed.
 
-use crate::stats;
+use crate::obs;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -144,7 +144,7 @@ impl TxHandle {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    stats::record_doom_issued();
+                    obs::doom_issued();
                     return true;
                 }
                 Err(cur) => w = cur,

@@ -4,9 +4,12 @@
 //! (paper §4, "Commit and abort handlers"). A handler receives the
 //! transaction context in **direct mode** ([`crate::TxnMode::Direct`]): reads
 //! return committed state (each read is per-var atomic and waits out
-//! in-flight publishes) and writes publish immediately (per-var commit lock
-//! plus a fresh clock version each), because handlers run while the **handler
-//! lane** is held — after the owning transaction's point of no return (commit
+//! in-flight publishes) and writes publish immediately — one var at a time
+//! (commit lock plus a fresh clock version each), or, inside
+//! [`crate::Txn::write_group`], all of a group's writes together as one
+//! write set at one version, so a multi-var structure update is never seen
+//! half done. Every collection backend apply runs in a group. Handlers run
+//! while the **handler lane** is held — after the owning transaction's point of no return (commit
 //! handlers) or after its memory rollback (abort handlers). The lane
 //! serializes all handler execution and all writing open-nested commits, so a
 //! handler's updates can never conflict with another transaction's handlers,

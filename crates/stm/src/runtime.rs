@@ -9,7 +9,7 @@ use crate::handle::TxHandle;
 use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::tvar::VarId;
 use crate::txn::Txn;
-use crate::{epoch, metrics, stats, trace};
+use crate::{epoch, obs};
 use std::sync::Arc;
 
 /// Options for [`atomic_with`].
@@ -42,7 +42,7 @@ pub fn atomic<T>(f: impl FnMut(&mut Txn) -> T) -> T {
 pub fn atomic_with<T>(opts: RunOpts, mut f: impl FnMut(&mut Txn) -> T) -> T {
     let cm = ContentionManager::new(opts.backoff);
     // Wall time spans every retry attempt: the latency the *caller* sees.
-    let wall_t0 = metrics::timer();
+    let wall_t0 = obs::timer();
     let mut attempts: u32 = 0;
     loop {
         let handle = TxHandle::new(attempts);
@@ -51,7 +51,7 @@ pub fn atomic_with<T>(opts: RunOpts, mut f: impl FnMut(&mut Txn) -> T) -> T {
         match outcome {
             Ok(v) => match tx.try_commit_top() {
                 Ok(()) => {
-                    metrics::hist_elapsed(metrics::HistKind::TxnWall, wall_t0);
+                    obs::hist_elapsed(obs::HistKind::TxnWall, wall_t0);
                     return v;
                 }
                 Err(cause) => {
@@ -125,19 +125,17 @@ pub fn atomic_with<T>(opts: RunOpts, mut f: impl FnMut(&mut Txn) -> T) -> T {
 /// assert_eq!(sum, 12);
 /// ```
 pub fn atomic_read<T>(mut f: impl FnMut(&mut Txn) -> T) -> T {
-    let read_t0 = metrics::timer();
+    let read_t0 = obs::timer();
     let pin = epoch::pin();
     let handle = TxHandle::new(0);
     let mut tx = Txn::new_snapshot(handle, pin.epoch());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
     match outcome {
         Ok(v) => {
-            tx.finish_snapshot();
-            metrics::hist_elapsed(metrics::HistKind::SnapshotRead, read_t0);
+            tx.finish_snapshot(read_t0);
             v
         }
         Err(payload) => {
-            let id = tx.handle().id();
             match interrupt::classify(payload) {
                 // Chain truncated past the snapshot — or, defensively, a
                 // body that asked to retry (unreachable by construction:
@@ -146,26 +144,23 @@ pub fn atomic_read<T>(mut f: impl FnMut(&mut Txn) -> T) -> T {
                 Ok(TxInterrupt::SnapshotFallback)
                 | Ok(TxInterrupt::Retry(_))
                 | Ok(TxInterrupt::RetryFrame(_)) => {
-                    trace::snapshot_fallback(id);
-                    tx.abandon_snapshot();
+                    tx.abandon_snapshot(true);
                     // Unpin *before* the validated re-run: holding the pin
                     // through an arbitrarily long transaction would stall
                     // chain reclamation for everyone.
                     drop(pin);
-                    stats::record_snapshot_fallback();
-                    metrics::fallback_taken();
                     atomic(f)
                 }
                 Ok(TxInterrupt::Misuse(diag)) => {
-                    tx.abandon_snapshot();
+                    tx.abandon_snapshot(false);
                     panic!("{diag}");
                 }
                 Ok(TxInterrupt::UserAbort) => {
-                    tx.abandon_snapshot();
+                    tx.abandon_snapshot(false);
                     panic!("transaction aborted by user request");
                 }
                 Err(user_panic) => {
-                    tx.abandon_snapshot();
+                    tx.abandon_snapshot(false);
                     std::panic::resume_unwind(user_panic);
                 }
             }

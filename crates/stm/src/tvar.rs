@@ -13,11 +13,13 @@
 //! stamping the version are a single atomic store, and validators read
 //! version + lock state as one word. See `clock.rs` for the protocol.
 
+use crate::clock;
 use crate::cost;
-use crate::stats;
+use crate::obs;
 use crate::txn::Txn;
 use parking_lot::{Mutex, RwLock};
-use std::any::Any;
+use std::any::{Any, TypeId};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -230,6 +232,15 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
         let v = val
             .downcast_ref::<T>()
             .expect("write-set entry type mismatch");
+        self.install(v.clone(), version, horizon);
+    }
+}
+
+impl<T: Clone + Send + Sync + 'static> VarCore<T> {
+    /// The body of [`AnyVar::apply`], taking the value by move: swap it
+    /// into the cell (keeping history while snapshot readers are pinned),
+    /// then stamp `version` and release the commit lock in one store.
+    fn install(&self, v: T, version: u64, horizon: u64) {
         if horizon != u64::MAX {
             // A snapshot somewhere may still need the outgoing head: push it
             // onto the chain. The history lock is held across the cell swap
@@ -242,14 +253,14 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
             let mut h = self.hist.lock();
             {
                 let mut g = self.cell.write();
-                let old = std::mem::replace(&mut *g, (version, v.clone()));
+                let old = std::mem::replace(&mut *g, (version, v));
                 h.insert(0, old);
             }
             self.has_hist.store(true, Ordering::Relaxed);
             let reclaimed = Self::truncate_chain(&mut h, horizon);
             drop(h);
             if reclaimed > 0 {
-                stats::record_chain_reclaimed(reclaimed as u64);
+                obs::chain_reclaimed(reclaimed as u64);
             }
         } else {
             // No snapshot pinned anywhere: overwrite in place, as before the
@@ -264,11 +275,11 @@ impl<T: Clone + Send + Sync + 'static> AnyVar for VarCore<T> {
                 self.has_hist.store(false, Ordering::Relaxed);
                 drop(h);
                 if reclaimed > 0 {
-                    stats::record_chain_reclaimed(reclaimed as u64);
+                    obs::chain_reclaimed(reclaimed as u64);
                 }
             }
             let mut g = self.cell.write();
-            *g = (version, v.clone());
+            *g = (version, v);
         }
         // Stamp + release in one store.
         self.vlock.store(version << 1, Ordering::Release);
@@ -368,6 +379,144 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
 
     pub(crate) fn any(&self) -> Arc<dyn AnyVar> {
         self.core.clone()
+    }
+}
+
+/// The buffered writes of an open [`Txn::write_group`], published as one
+/// write set when the group ends. One typed buffer per value type, so a
+/// value moves into its cell without cloning and buffering it allocates
+/// nothing once the buffers have grown: a closed group is cleared and kept
+/// as the process-wide spare for the next one (groups run under the
+/// handler lane, so the spare's lock is uncontended).
+#[derive(Default)]
+pub(crate) struct WriteGroup {
+    /// Bit `id % 64` of every buffered var: most reads skip the lookup.
+    mask: u64,
+    len: usize,
+    bufs: Vec<(TypeId, Box<dyn GroupBuf>)>,
+}
+
+static SPARE_GROUP: Mutex<Option<Box<WriteGroup>>> = Mutex::new(None);
+
+impl WriteGroup {
+    /// An empty group, reusing the spare's buffers when it is free.
+    pub(crate) fn open() -> Box<WriteGroup> {
+        SPARE_GROUP.lock().take().unwrap_or_default()
+    }
+
+    /// Drop whatever is still buffered and keep the buffers as the spare.
+    pub(crate) fn recycle(mut self: Box<Self>) {
+        self.mask = 0;
+        self.len = 0;
+        for (_, buf) in &mut self.bufs {
+            buf.clear();
+        }
+        *SPARE_GROUP.lock() = Some(self);
+    }
+
+    /// The buffered value of `var`, if the group wrote it.
+    pub(crate) fn get<T: Clone + Send + Sync + 'static>(
+        &mut self,
+        var: &TVar<T>,
+    ) -> Option<&mut T> {
+        let id = var.id();
+        if self.mask & (1 << (id % 64)) == 0 {
+            return None;
+        }
+        let i = self.buf_index::<T>()?;
+        let (_, val) = Self::typed::<T>(&mut self.bufs[i].1)
+            .writes
+            .iter_mut()
+            .find(|(core, _)| core.id == id)?;
+        val.get_mut().as_mut()
+    }
+
+    /// Buffer `val` as `var`'s new value, replacing an earlier one.
+    pub(crate) fn put<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>, val: T) {
+        if let Some(slot) = self.get(var) {
+            *slot = val;
+            return;
+        }
+        self.mask |= 1 << (var.id() % 64);
+        self.len += 1;
+        let i = self.buf_index::<T>().unwrap_or_else(|| {
+            let buf: TypedBuf<T> = TypedBuf { writes: Vec::new() };
+            self.bufs.push((TypeId::of::<T>(), Box::new(buf)));
+            self.bufs.len() - 1
+        });
+        Self::typed::<T>(&mut self.bufs[i].1)
+            .writes
+            .push((Arc::clone(&var.core), Cell::new(Some(val))));
+    }
+
+    /// Publish every buffered write as one write set, exactly as a
+    /// top-level commit does: lock in `VarId` order, then one version for
+    /// the whole set. The lock spins cannot deadlock: a direct-mode caller
+    /// holds the handler lane and no var lock.
+    pub(crate) fn publish(&self) {
+        if self.len == 0 {
+            return;
+        }
+        let mut vars = Vec::with_capacity(self.len);
+        for (_, buf) in &self.bufs {
+            buf.vars(&mut vars);
+        }
+        clock::CommitGuard::lock_write_set(vars).publish(|wv, horizon| {
+            for (_, buf) in &self.bufs {
+                buf.publish(wv, horizon);
+            }
+        });
+    }
+
+    fn buf_index<T: 'static>(&self) -> Option<usize> {
+        self.bufs.iter().position(|(t, _)| *t == TypeId::of::<T>())
+    }
+
+    fn typed<T: Clone + Send + Sync + 'static>(buf: &mut Box<dyn GroupBuf>) -> &mut TypedBuf<T> {
+        buf.as_any_mut()
+            .downcast_mut()
+            .expect("write-group buffer keyed by the wrong type")
+    }
+}
+
+/// One value type's writes in a [`WriteGroup`]. The value sits in a
+/// `Cell` so publishing needs only `&self` while the commit guard borrows
+/// the vars.
+struct TypedBuf<T> {
+    writes: Vec<Buffered<T>>,
+}
+
+/// One buffered write: the var and the value it will publish.
+type Buffered<T> = (Arc<VarCore<T>>, Cell<Option<T>>);
+
+/// A type-erased [`TypedBuf`].
+trait GroupBuf: Send {
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn vars<'a>(&'a self, out: &mut Vec<&'a dyn AnyVar>);
+    /// Install every value at `version`, releasing each var's commit lock,
+    /// which the caller holds.
+    fn publish(&self, version: u64, horizon: u64);
+    fn clear(&mut self);
+}
+
+impl<T: Clone + Send + Sync + 'static> GroupBuf for TypedBuf<T> {
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn vars<'a>(&'a self, out: &mut Vec<&'a dyn AnyVar>) {
+        out.extend(self.writes.iter().map(|(core, _)| &**core as &dyn AnyVar));
+    }
+
+    fn publish(&self, version: u64, horizon: u64) {
+        for (core, val) in &self.writes {
+            let val = val.take().expect("write-group value published twice");
+            core.install(val, version, horizon);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.writes.clear();
     }
 }
 

@@ -7,10 +7,8 @@ use crate::clock;
 use crate::handle::TxHandle;
 use crate::handlers::{Handler, LocalUndo};
 use crate::interrupt::{self, AbortCause, TxInterrupt};
-use crate::metrics;
-use crate::stats;
-use crate::trace;
-use crate::tvar::{AnyVar, TVar, VarId};
+use crate::obs;
+use crate::tvar::{AnyVar, TVar, VarId, WriteGroup};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +21,8 @@ pub enum TxnMode {
     Speculative,
     /// Handler execution under the handler lane: reads see committed state,
     /// writes publish immediately (per-var commit lock + a fresh clock
-    /// version each). Nesting operations are flattened.
+    /// version each, or as one write set per [`Txn::write_group`]).
+    /// Nesting operations are flattened.
     Direct,
 }
 
@@ -125,13 +124,15 @@ pub struct Txn {
     /// ordinary transactions.
     snapshot: Option<u64>,
     /// Reads served from the version chains by this snapshot attempt,
-    /// flushed to the global counter in one add at completion.
+    /// counted in one add at completion.
     snapshot_reads_served: u64,
+    /// The open [`Txn::write_group`] while its body runs in direct mode.
+    group: Option<Box<WriteGroup>>,
 }
 
 impl Txn {
     pub(crate) fn new_top(handle: Arc<TxHandle>) -> Self {
-        trace::txn_begin(handle.id());
+        obs::txn_begin(handle.id());
         Txn {
             mode: TxnMode::Speculative,
             handle,
@@ -144,13 +145,14 @@ impl Txn {
             spare_open_handle: None,
             snapshot: None,
             snapshot_reads_served: 0,
+            group: None,
         }
     }
 
     /// Context for a snapshot transaction reading at clock value `s` (the
     /// caller holds the epoch pin protecting the chains down to `s`).
     pub(crate) fn new_snapshot(handle: Arc<TxHandle>, s: u64) -> Self {
-        trace::txn_begin(handle.id());
+        obs::txn_begin(handle.id());
         Txn {
             mode: TxnMode::Speculative,
             handle,
@@ -163,6 +165,7 @@ impl Txn {
             spare_open_handle: None,
             snapshot: Some(s),
             snapshot_reads_served: 0,
+            group: None,
         }
     }
 
@@ -179,6 +182,7 @@ impl Txn {
             spare_open_handle: None,
             snapshot: None,
             snapshot_reads_served: 0,
+            group: None,
         }
     }
 
@@ -256,6 +260,9 @@ impl Txn {
 
     pub(crate) fn read_var<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) -> T {
         if self.mode == TxnMode::Direct {
+            if let Some(val) = self.group.as_mut().and_then(|g| g.get(var)) {
+                return val.clone();
+            }
             return var.read_committed();
         }
         if let Some(s) = self.snapshot {
@@ -343,9 +350,13 @@ impl Txn {
 
     pub(crate) fn write_var<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>, val: T) {
         if self.mode == TxnMode::Direct {
-            // Handler context (holding the handler lane): lock the var, draw
-            // a fresh version, apply-and-release.
-            clock::publish_direct(var.core.as_ref(), &val);
+            // Handler context (holding the handler lane): buffer into the
+            // open write group, or lock the var, draw a fresh version,
+            // apply-and-release.
+            match &mut self.group {
+                Some(group) => group.put(var, val),
+                None => clock::publish_direct(var.core.as_ref(), &val),
+            }
             return;
         }
         if self.snapshot.is_some() {
@@ -371,6 +382,33 @@ impl Txn {
                 val: Arc::new(val),
             },
         );
+    }
+
+    /// Run `f` with its direct-mode writes published as **one** write set:
+    /// buffered while `f` runs (reads inside `f` see them), then locked in
+    /// `VarId` order, stamped with a single clock version and released
+    /// before this returns. Every reader — a validated transaction, an
+    /// `open_read` body, a snapshot — therefore sees all of `f`'s writes or
+    /// none of them, so a multi-var structure update made from a handler
+    /// (a tree rotation, a table resize) is never visible half done.
+    ///
+    /// Outside direct mode, or inside another group, this just runs `f`.
+    /// If `f` panics, nothing it wrote is published.
+    pub fn write_group<T>(&mut self, f: impl FnOnce(&mut Txn) -> T) -> T {
+        if self.mode != TxnMode::Direct || self.group.is_some() {
+            return f(self);
+        }
+        self.group = Some(WriteGroup::open());
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
+        let group = self
+            .group
+            .take()
+            .expect("write group closed inside its body");
+        if out.is_ok() {
+            group.publish();
+        }
+        group.recycle();
+        out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     fn current_frame(&mut self) -> &mut Frame {
@@ -422,8 +460,7 @@ impl Txn {
         let innermost = self.frames.len() - 1;
         let confined = invalid_frames.iter().all(|&fi| fi == innermost);
         if confined && self.frames[innermost].kind == FrameKind::Closed {
-            stats::record_frame_retry();
-            trace::frame_retry(self.handle.id());
+            obs::frame_retry(self.handle.id());
             interrupt::throw(TxInterrupt::RetryFrame(innermost));
         }
         interrupt::throw(TxInterrupt::Retry(AbortCause::ReadInvalid));
@@ -574,14 +611,12 @@ impl Txn {
                         parent.commit_handlers.extend(committed.commit_handlers);
                         parent.abort_handlers.extend(committed.abort_handlers);
                         parent.local_undos.extend(committed.local_undos);
-                        stats::record_open_commit();
-                        trace::open_commit(self.handle.id());
+                        obs::open_commit(self.handle.id());
                         return v;
                     }
                     Err(h) => {
                         handle = h;
-                        stats::record_open_retry();
-                        trace::open_retry(self.handle.id());
+                        obs::open_retry(self.handle.id());
                         continue;
                     }
                 },
@@ -591,8 +626,7 @@ impl Txn {
                         // A read conflict inside the child retries only the child.
                         Ok(TxInterrupt::Retry(AbortCause::ReadInvalid))
                         | Ok(TxInterrupt::RetryFrame(_)) => {
-                            stats::record_open_retry();
-                            trace::open_retry(self.handle.id());
+                            obs::open_retry(self.handle.id());
                             continue;
                         }
                         // Doom / explicit abort concern the whole transaction.
@@ -641,12 +675,10 @@ impl Txn {
                 .iter()
                 .all(|(var, ver)| clock::read_valid(var.as_ref(), *ver, false));
             if valid {
-                stats::record_open_flattened();
-                trace::open_flattened(self.handle.id());
+                obs::open_flattened(self.handle.id());
                 return v;
             }
-            stats::record_open_retry();
-            trace::open_retry(self.handle.id());
+            obs::open_retry(self.handle.id());
         }
     }
 
@@ -767,7 +799,7 @@ impl Txn {
     pub(crate) fn try_commit_top(&mut self) -> Result<(), AbortCause> {
         debug_assert!(!self.is_open_child);
         debug_assert_eq!(self.frames.len(), 1, "unbalanced nesting at commit");
-        let commit_t0 = metrics::timer();
+        let commit_t0 = obs::timer();
         let frame = &self.frames[0];
         let has_handlers = !frame.commit_handlers.is_empty();
         // Lane before var locks, never the reverse: a lane-holder's direct
@@ -809,13 +841,7 @@ impl Txn {
             self.run_commit_handlers();
         }
         drop(lane);
-        stats::record_commit();
-        metrics::hist_elapsed(metrics::HistKind::CommitLatency, commit_t0);
-        metrics::commit_counted();
-        trace::txn_commit(self.handle.id());
-        if !has_handlers {
-            stats::record_lane_free_commit();
-        }
+        obs::txn_commit(self.handle.id(), !has_handlers, commit_t0);
         Ok(())
     }
 
@@ -854,44 +880,32 @@ impl Txn {
             self.run_commit_handlers();
         }
         drop(lane);
-        stats::record_commit();
-        metrics::commit_counted();
-        trace::txn_commit(self.handle.id());
-        if !has_handlers {
-            stats::record_lane_free_commit();
-        }
+        obs::txn_commit(self.handle.id(), !has_handlers, None);
     }
 
     /// Complete a successful snapshot attempt. There is nothing to validate,
     /// publish, or run — the attempt logged no reads, buffered no writes,
     /// and was barred from registering handlers — so completion is: mark
-    /// committed, flush the batched read counter, emit the trace pair.
-    pub(crate) fn finish_snapshot(&mut self) {
+    /// committed and emit the completion with the batched read count and
+    /// the `atomic_read` entry timer `t0`.
+    pub(crate) fn finish_snapshot(&mut self, t0: Option<std::time::Instant>) {
         debug_assert!(self.snapshot.is_some());
         self.handle.mark_committed();
-        stats::record_commit();
-        metrics::commit_counted();
-        if self.snapshot_reads_served > 0 {
-            stats::record_snapshot_reads(self.snapshot_reads_served);
-        }
-        trace::snapshot_txn(self.handle.id(), self.snapshot_reads_served);
-        trace::txn_commit(self.handle.id());
+        obs::snapshot_commit(self.handle.id(), self.snapshot_reads_served, t0);
     }
 
     /// Abandon a snapshot attempt (chain-truncation fallback, misuse, or a
     /// user panic unwinding through the body). A snapshot holds no locks and
     /// buffered nothing, so there is no compensation to run; this closes the
-    /// begin/terminal trace pairing and flushes reads served so far. Not
-    /// recorded as an abort in [`crate::global_stats`] — the transaction
-    /// never speculated anything, and `snapshot_fallbacks` is the
-    /// meaningful signal (see docs/OBSERVABILITY.md).
-    pub(crate) fn abandon_snapshot(&mut self) {
+    /// begin/terminal trace pairing and flushes reads served so far.
+    /// `fallback` says the validated path re-runs the body. Not recorded as
+    /// an abort in [`crate::global_stats`] — the transaction never
+    /// speculated anything, and `snapshot_fallbacks` is the meaningful
+    /// signal (see docs/OBSERVABILITY.md).
+    pub(crate) fn abandon_snapshot(&mut self, fallback: bool) {
         debug_assert!(self.snapshot.is_some());
         self.handle.mark_aborted();
-        if self.snapshot_reads_served > 0 {
-            stats::record_snapshot_reads(self.snapshot_reads_served);
-        }
-        trace::txn_abort(self.handle.id(), AbortCause::Explicit, 0);
+        obs::snapshot_abandoned(self.handle.id(), self.snapshot_reads_served, fallback);
     }
 
     /// Drain commit handlers in direct mode. The caller holds the handler
@@ -908,7 +922,7 @@ impl Txn {
                 break;
             }
             for h in hs {
-                stats::record_handler_run();
+                obs::handler_run();
                 h(self);
             }
         }
@@ -946,7 +960,7 @@ impl Txn {
                     break;
                 }
                 for h in hs {
-                    stats::record_handler_run();
+                    obs::handler_run();
                     h(self);
                 }
             }
@@ -962,16 +976,14 @@ impl Txn {
             self.frames[0].commit_handlers.clear();
             self.handle.mark_aborted();
         }
-        stats::record_abort(cause);
-        metrics::abort_counted(cause);
-        // Every begun attempt reaches exactly one of `trace::txn_commit` /
+        // Every begun attempt reaches exactly one of `obs::txn_commit` /
         // this emission, so a trace never holds a dangling begin.
         let culprit = if cause == AbortCause::Doomed {
             self.handle.culprit()
         } else {
             0
         };
-        trace::txn_abort(self.handle.id(), cause, culprit);
+        obs::txn_abort(self.handle.id(), cause, culprit);
     }
 
     // ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-//! Integration tests for the dimensional metrics layer: shard merging,
+//! Integration tests for the dimensional side of `stm::obs`: shard merging,
 //! window differencing under concurrent recording, percentile goldens, and
 //! the flight recorder.
 //!
@@ -9,16 +9,20 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use stm::metrics::{
-    self, bucket_upper, HistKind, Histogram, MetricKind, MetricsConfig, STRIPE_GLOBAL,
+use stm::obs::{
+    self, bucket_upper, intern, HistKind, Histogram, LockKind, MetricKind, Sym, STRIPE_GLOBAL,
 };
-use stm::trace::{intern, LockKind, Sym};
 use stm::{atomic, TVar};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialize() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A doom with no provenance landing on `class` at `stripe`.
+fn doom(class: Sym, stripe: u64) {
+    obs::doom_edge(0, 0, class, LockKind::Key, 0, stripe, 0, 0, false);
 }
 
 /// Build a [`Histogram`] the same way a shard does, without going through
@@ -50,13 +54,13 @@ proptest! {
             prop::collection::vec(0u64..1 << 48, 0..40), 1..5)
     ) {
         let _g = serialize();
-        let guard = MetricsConfig::default().enable();
+        let guard = obs::enable();
 
         std::thread::scope(|s| {
             for chunk in &chunks {
                 s.spawn(move || {
                     for &v in chunk {
-                        metrics::hist_record_ns(HistKind::SnapshotRead, v);
+                        obs::hist_record_ns(HistKind::SnapshotRead, v);
                     }
                 });
             }
@@ -64,7 +68,7 @@ proptest! {
 
         let all: Vec<u64> = chunks.iter().flatten().copied().collect();
         let expect = model_histogram(&all);
-        let w = metrics::window();
+        let w = obs::window();
         let got = w.histogram(HistKind::SnapshotRead);
 
         prop_assert_eq!(got.count(), all.len() as u64);
@@ -117,20 +121,20 @@ proptest! {
         per_thread in prop::collection::vec(1u64..200, 1..5)
     ) {
         let _g = serialize();
-        let guard = MetricsConfig::default().enable();
+        let guard = obs::enable();
         let class = intern("metrics-test-class");
 
-        let before = metrics::window();
+        let before = obs::window();
         std::thread::scope(|s| {
             for (t, &n) in per_thread.iter().enumerate() {
                 s.spawn(move || {
                     for _ in 0..n {
-                        metrics::doom_landed(class, t as u64);
+                        doom(class, t as u64);
                     }
                 });
             }
         });
-        let diff = metrics::window().diff(&before);
+        let diff = obs::window().diff(&before);
 
         for (t, &n) in per_thread.iter().enumerate() {
             prop_assert_eq!(diff.counter(class, t as u16, MetricKind::Doom), n);
@@ -149,7 +153,7 @@ proptest! {
 #[test]
 fn percentile_golden_through_real_shards() {
     let _g = serialize();
-    let guard = MetricsConfig::default().enable();
+    let guard = obs::enable();
 
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.store(1, Ordering::Relaxed);
@@ -160,12 +164,12 @@ fn percentile_golden_through_real_shards() {
                 if v > 1000 {
                     break;
                 }
-                metrics::hist_record_ns(HistKind::CommitLatency, v);
+                obs::hist_record_ns(HistKind::CommitLatency, v);
             });
         }
     });
 
-    let w = metrics::window();
+    let w = obs::window();
     let h = w.histogram(HistKind::CommitLatency);
     assert_eq!(h.count(), 1000);
     assert_eq!(h.sum, 500_500);
@@ -184,10 +188,10 @@ fn percentile_golden_through_real_shards() {
 #[test]
 fn transactions_feed_commit_counters_and_latency() {
     let _g = serialize();
-    let guard = MetricsConfig::default().enable();
+    let guard = obs::enable();
 
     let v = TVar::new(0u64);
-    let before = metrics::window();
+    let before = obs::window();
     const TXNS: u64 = 50;
     for _ in 0..TXNS {
         atomic(|tx| {
@@ -195,7 +199,7 @@ fn transactions_feed_commit_counters_and_latency() {
             v.write(tx, cur + 1);
         });
     }
-    let diff = metrics::window().diff(&before);
+    let diff = obs::window().diff(&before);
 
     assert_eq!(diff.kind_total(MetricKind::Commit), TXNS);
     assert_eq!(diff.kind_total(MetricKind::AbortReadInvalid), 0);
@@ -219,12 +223,11 @@ fn flight_recorder_dumps_doom_spike_with_trace_edges() {
         std::process::id(),
         DIR_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let cfg = metrics::FlightRecorderConfig {
+    let cfg = obs::FlightRecorderConfig {
         dir: dir.clone(),
         doom_threshold: 8,
-        ring_slots: 1 << 10,
     };
-    let mut rec = metrics::FlightRecorder::arm(cfg).expect("arm creates the dump dir");
+    let mut rec = obs::FlightRecorder::arm(cfg).expect("arm creates the dump dir");
 
     // Quiet window: no dump.
     assert_eq!(rec.poll().expect("poll"), None);
@@ -232,13 +235,13 @@ fn flight_recorder_dumps_doom_spike_with_trace_edges() {
     // Doom spike on one class/stripe, with matching trace provenance.
     let class = intern("flightrec-map");
     for i in 0..16u64 {
-        metrics::doom_landed(class, 3);
-        stm::trace::doom_edge(
+        obs::doom_edge(
             1000 + i,
             2000 + i,
             class,
             LockKind::Key,
             0xBEEF,
+            3,
             0,
             1,
             false,
@@ -268,20 +271,20 @@ fn flight_recorder_dumps_doom_spike_with_trace_edges() {
 }
 
 /// Two cumulative Prometheus scrapes with activity between are monotone
-/// per-series and structurally well-formed — the property `txtop --metrics
-/// --validate` checks end to end.
+/// per-series and structurally well-formed — the property `txtop --soak`
+/// checks end to end.
 #[test]
 fn prometheus_scrapes_are_monotone_and_parseable() {
     let _g = serialize();
-    let guard = MetricsConfig::default().enable();
+    let guard = obs::enable();
     let class = intern("prom-test-class");
 
-    metrics::doom_landed(class, 1);
-    metrics::hist_record_ns(HistKind::SemLockWait, 640);
-    let scrape1 = metrics::window();
-    metrics::doom_landed(class, 1);
-    metrics::doom_landed(class, 1);
-    let scrape2 = metrics::window();
+    doom(class, 1);
+    obs::hist_record_ns(HistKind::SemLockWait, 640);
+    let scrape1 = obs::window();
+    doom(class, 1);
+    doom(class, 1);
+    let scrape2 = obs::window();
 
     let c1 = scrape1.counter(class, 1, MetricKind::Doom);
     let c2 = scrape2.counter(class, 1, MetricKind::Doom);
@@ -306,28 +309,28 @@ fn prometheus_scrapes_are_monotone_and_parseable() {
 /// global-stripe sentinel and in-range stripes round-trip, oversize clamps.
 #[test]
 fn stripe_dimension_folding() {
-    assert_eq!(metrics::stripe_dim(u64::MAX), STRIPE_GLOBAL);
-    assert_eq!(metrics::stripe_dim(0), 0);
-    assert_eq!(metrics::stripe_dim(15), 15);
-    assert_eq!(metrics::stripe_dim(1 << 20), metrics::STRIPE_MAX);
-    assert_eq!(metrics::stripe_label(STRIPE_GLOBAL), "global");
-    assert_eq!(metrics::stripe_label(7), "7");
+    assert_eq!(obs::stripe_dim(u64::MAX), STRIPE_GLOBAL);
+    assert_eq!(obs::stripe_dim(0), 0);
+    assert_eq!(obs::stripe_dim(15), 15);
+    assert_eq!(obs::stripe_dim(1 << 20), obs::STRIPE_MAX);
+    assert_eq!(obs::stripe_label(STRIPE_GLOBAL), "global");
+    assert_eq!(obs::stripe_label(7), "7");
 }
 
 /// Sym values survive the packed-key round trip through a real window.
 #[test]
 fn window_counters_key_on_class_and_stripe() {
     let _g = serialize();
-    let guard = MetricsConfig::default().enable();
+    let guard = obs::enable();
     let a = intern("wc-class-a");
     let b = intern("wc-class-b");
 
-    let before = metrics::window();
-    metrics::doom_landed(a, 0);
-    metrics::doom_landed(b, 0);
-    metrics::doom_landed(b, u64::MAX);
-    metrics::stripe_blocked(b, 5);
-    let diff = metrics::window().diff(&before);
+    let before = obs::window();
+    doom(a, 0);
+    doom(b, 0);
+    doom(b, u64::MAX);
+    let _ = obs::sem_lock_blocked(b, 5);
+    let diff = obs::window().diff(&before);
 
     assert_eq!(diff.counter(a, 0, MetricKind::Doom), 1);
     assert_eq!(diff.counter(b, 0, MetricKind::Doom), 1);

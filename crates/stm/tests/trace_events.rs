@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use stm::trace::{snapshot, TraceConfig, TraceEvent};
+use stm::obs::{snapshot, TraceEvent, RING_SLOTS};
 use stm::{atomic, global_stats, speculate, AbortCause, TVar};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -23,7 +23,7 @@ fn serialize() -> std::sync::MutexGuard<'static, ()> {
 fn doomed_abort_attributes_culprit() {
     let _g = serialize();
     let before = global_stats();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
 
     let a = TVar::new(0u64);
     let b = TVar::new(0u64);
@@ -73,7 +73,7 @@ fn doomed_abort_attributes_culprit() {
 #[test]
 fn no_dangling_begin_events_under_contention() {
     let _g = serialize();
-    let guard = TraceConfig::default().enable();
+    let guard = stm::obs::enable();
 
     let counter = TVar::new(0u64);
     const THREADS: u64 = 3;
@@ -135,20 +135,20 @@ fn no_dangling_begin_events_under_contention() {
     assert!(commits >= THREADS * TXNS);
 }
 
-/// A small ring drops the oldest events, keeps the newest, and accounts for
+/// A full ring drops the oldest events, keeps the newest, and accounts for
 /// every drop both in the snapshot and in the global stats counter.
 #[test]
 fn ring_overflow_drops_oldest_and_counts() {
     let _g = serialize();
     let before = global_stats();
-    let guard = TraceConfig { ring_slots: 16 }.enable();
+    let guard = stm::obs::enable();
 
-    // A fresh thread gets a fresh ring at the configured (tiny) size. Each
-    // transaction emits exactly two events here (begin + commit): 48 txns =
-    // 96 events through 16 slots.
+    // Each transaction emits exactly two events here (begin + commit):
+    // TXNS txns = 2 * TXNS events through RING_SLOTS slots.
+    const TXNS: u64 = RING_SLOTS as u64 / 2 + 40;
     let var = TVar::new(0u64);
     let ids: Vec<u64> = std::thread::spawn(move || {
-        (0..48)
+        (0..TXNS)
             .map(|i| {
                 atomic(|tx| {
                     var.write(tx, i);
@@ -174,15 +174,15 @@ fn ring_overflow_drops_oldest_and_counts() {
         })
         .collect();
     assert!(!surviving.is_empty(), "ring lost everything");
-    assert!(surviving.len() <= 16);
+    assert!(surviving.len() <= RING_SLOTS);
     assert_eq!(
         surviving,
         ids[ids.len() - surviving.len()..],
         "survivors must be the newest events, oldest dropped first"
     );
 
-    // 96 events into 16 slots: exactly 80 dropped from that ring, all
-    // visible both in the snapshot and in the stats counter.
+    // 2 * TXNS events into RING_SLOTS slots: exactly 80 dropped from that
+    // ring, all visible both in the snapshot and in the stats counter.
     assert!(snap.dropped >= 80);
     let diff = global_stats().diff(&before);
     assert_eq!(diff.trace_events_dropped, snap.dropped);
@@ -194,7 +194,7 @@ fn ring_overflow_drops_oldest_and_counts() {
 fn disabled_tracing_emits_nothing() {
     let _g = serialize();
     let before = global_stats();
-    assert!(!stm::trace::enabled());
+    assert!(!stm::obs::enabled());
 
     let var = TVar::new(0u64);
     let id = atomic(|tx| {

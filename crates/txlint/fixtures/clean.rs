@@ -38,7 +38,7 @@ fn paired_handlers(tx: &mut Txn) {
 
 fn allocation_free_trace_emission(owner: &TxHandle, stats: &ClassStats, key: &K) {
     // Integers and the class's pre-interned Sym: the sanctioned payloads.
-    trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Key, key_hash64(key));
+    obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Key, key_hash64(key));
 }
 
 fn construction_time_interning() -> Sym {

@@ -7,12 +7,12 @@
 fn emit_with_allocations(id: u64, cause: AbortCause, class_name: &str, label: &Label) {
     // Interning per event takes the global symbol-table mutex on a path
     // that runs under contention; the Sym belongs in the class constructor.
-    trace::sem_lock_blocked(intern(class_name), 3); // TX009
+    obs::sem_lock_blocked(intern(class_name), 3); // TX009
 
     // format! allocates a String per event.
-    trace::txn_abort(id, cause, format!("doomed by {id}")); // TX009
+    obs::txn_abort(id, cause, format!("doomed by {id}")); // TX009
 
     // So do String::from and .to_string().
-    trace::doom_edge(id, id + 1, String::from("map"), kind, hash, obs, effect, false); // TX009
-    trace::lane_enter(label.to_string()); // TX009
+    obs::doom_edge(id, id + 1, String::from("map"), kind, hash, stripe, obs, effect, false); // TX009
+    obs::lane_enter(label.to_string()); // TX009
 }

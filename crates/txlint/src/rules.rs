@@ -50,20 +50,24 @@ const IO_TYPES: [&str; 6] = [
 /// transaction.
 const IO_FNS: [&str; 4] = ["stdin", "stdout", "stderr", "sleep"];
 
-/// The `stm::trace` emission entry points. Their argument spans must stay
-/// allocation-free: events are fixed-width word-packed records pushed from
-/// commit/abort/lock hot paths, and class names are interned to [`Sym`]s
-/// once at collection construction, never per event (TX009).
-const TRACE_EMITTERS: [&str; 13] = [
+/// The `stm::obs` emitters that push a trace record. Their argument spans
+/// must stay allocation-free: records are fixed-width word-packed entries
+/// pushed from commit/abort/lock hot paths, and class names are interned to
+/// [`Sym`]s once at collection construction, never per event (TX009).
+const TRACE_EMITTERS: [&str; 17] = [
     "txn_begin",
     "txn_commit",
     "txn_abort",
+    "snapshot_commit",
+    "snapshot_abandoned",
     "frame_retry",
     "open_commit",
     "open_retry",
+    "open_flattened",
     "lane_enter",
     "lane_exit",
     "var_lock_spin",
+    "lock_cache_hit",
     "sem_lock_blocked",
     "sem_lock_acquired",
     "sem_lock_released",
@@ -627,131 +631,77 @@ fn tx008_direct_handler_registration(
 }
 
 fn tx009_alloc_in_trace_emission(path: &Path, m: &FileModel, out: &mut Vec<Finding>) {
-    let toks = m.toks;
-    let brackets = match_brackets(toks);
-    // Argument spans of trace-emitter *calls* (their `fn` declarations in
-    // trace.rs are not call sites).
-    let mut spans: Vec<(usize, usize, &str)> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !TRACE_EMITTERS.contains(&t.text.as_str())
-            || (i >= 1 && toks[i - 1].is_ident("fn"))
-            || toks.get(i + 1).and_then(Tok::punct) != Some('(')
-        {
-            continue;
-        }
-        if let Some(&close) = brackets.get(&(i + 1)) {
-            spans.push((i + 1, close, t.text.as_str()));
-        }
-    }
-    if spans.is_empty() {
-        return;
-    }
     const HELP: &str = "trace events are fixed-width word-packed records pushed from hot paths; pass integers and pre-interned Sym values (intern the class name once at collection construction, not per event)";
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let Some(&(_, _, emitter)) = spans.iter().find(|&&(o, c, _)| o < i && i < c) else {
-            continue;
-        };
-        let prev_punct = i.checked_sub(1).and_then(|p| toks[p].punct());
-        let next_punct = toks.get(i + 1).and_then(Tok::punct);
-        let next2_punct = toks.get(i + 2).and_then(Tok::punct);
-        let name = t.text.as_str();
-
-        // `format!(..)` allocates a String per emission.
-        if name == "format" && next_punct == Some('!') {
-            out.push(finding(
-                path,
-                t,
-                "TX009",
-                format!("allocating `format!` in `{emitter}(..)` trace emission"),
-                HELP,
-            ));
-            continue;
-        }
-        // `String::from(..)` / `String::new()` and friends.
-        if name == "String" && next_punct == Some(':') && next2_punct == Some(':') {
-            out.push(finding(
-                path,
-                t,
-                "TX009",
-                format!("`String::..` construction in `{emitter}(..)` trace emission"),
-                HELP,
-            ));
-            continue;
-        }
-        // `.to_string()` / `.to_owned()` on a payload expression.
-        if (name == "to_string" || name == "to_owned")
-            && prev_punct == Some('.')
-            && next_punct == Some('(')
-        {
-            out.push(finding(
-                path,
-                t,
-                "TX009",
-                format!("allocating `.{name}()` in `{emitter}(..)` trace emission"),
-                HELP,
-            ));
-            continue;
-        }
-        // `intern(..)` per event: interning takes the global symbol-table
-        // mutex and is meant to run once per class, at construction.
-        if name == "intern" && next_punct == Some('(') {
-            out.push(finding(
-                path,
-                t,
-                "TX009",
-                format!("per-event `intern(..)` in `{emitter}(..)` trace emission"),
-                HELP,
-            ));
-        }
-    }
+    alloc_in_emission(
+        path,
+        m,
+        &TRACE_EMITTERS,
+        ("TX009", "trace", "event"),
+        HELP,
+        out,
+    );
 }
 
-/// The `stm::metrics` emission functions whose argument spans must stay
-/// allocation-free (TX014, the dimensional-metrics mirror of TX009). Bare
-/// call names, matched with the same call-shape test as [`TRACE_EMITTERS`].
-const METRICS_EMITTERS: [&str; 10] = [
-    "doom_landed",
-    "stripe_blocked",
-    "cache_hit",
-    "lane_entered",
-    "pin_entered",
-    "fallback_taken",
-    "commit_counted",
-    "abort_counted",
+/// The `stm::obs` emitters that only bump a counter, a slab key or a
+/// histogram (TX014, the counter-side mirror of TX009). Bare call names,
+/// matched with the same call-shape test as [`TRACE_EMITTERS`].
+const METRICS_EMITTERS: [&str; 7] = [
+    "handler_run",
+    "doom_issued",
+    "chain_reclaimed",
+    "epoch_pin",
+    "global_stripe_entry",
     "hist_elapsed",
     "hist_record_ns",
 ];
 
 /// Marker comment (assembled at runtime so this file never carries the
-/// contiguous text) declaring a file to contain metrics emission sites
+/// contiguous text) declaring a file to contain counter emission sites
 /// whose argument spans must not allocate or format.
 fn metrics_marker() -> String {
     format!("txlint: {}", "metrics")
 }
 
-/// TX014: no allocation or formatting inside metrics-emitter argument
-/// spans, in files carrying the metrics marker. The metrics layer promises
-/// one relaxed load per site when disabled and zero allocation when
-/// enabled; a `format!`/`String::..`/`.to_string()`/`intern(..)` inside an
-/// emitter call defeats that on every emission. Mirror of TX009, gated by
-/// the marker because the emitter names are ordinary words that would
+/// TX014: no allocation or formatting inside counter-emitter argument
+/// spans, in files carrying the metrics marker. An emission is a fixed-key
+/// shard increment; a `format!`/`String::..`/`.to_string()`/`intern(..)`
+/// inside an emitter call defeats that on every emission. Gated by the
+/// marker because the emitter names are ordinary words that would
 /// false-positive in unrelated files.
 fn tx014_alloc_in_metrics_emission(path: &Path, src: &str, m: &FileModel, out: &mut Vec<Finding>) {
     if !src.contains(&metrics_marker()) {
         return;
     }
+    const HELP: &str = "metrics counters are fixed-key shard increments on hot paths; pass integers and pre-interned Sym values (intern the class name once at collection construction, not per emission)";
+    alloc_in_emission(
+        path,
+        m,
+        &METRICS_EMITTERS,
+        ("TX014", "metrics", "emission"),
+        HELP,
+        out,
+    );
+}
+
+/// Flag allocating payload construction inside the argument span of any
+/// call to one of `emitters`. `(code, layer, unit)` words the finding, e.g.
+/// `("TX009", "trace", "event")`.
+fn alloc_in_emission(
+    path: &Path,
+    m: &FileModel,
+    emitters: &[&str],
+    (code, layer, unit): (&'static str, &str, &str),
+    help: &'static str,
+    out: &mut Vec<Finding>,
+) {
     let toks = m.toks;
     let brackets = match_brackets(toks);
-    // Argument spans of metrics-emitter *calls* (their `fn` declarations in
-    // metrics.rs are not call sites).
+    // Argument spans of emitter *calls* (their `fn` declarations in
+    // obs.rs are not call sites).
     let mut spans: Vec<(usize, usize, &str)> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident
-            || !METRICS_EMITTERS.contains(&t.text.as_str())
+            || !emitters.contains(&t.text.as_str())
             || (i >= 1 && toks[i - 1].is_ident("fn"))
             || toks.get(i + 1).and_then(Tok::punct) != Some('(')
         {
@@ -761,10 +711,6 @@ fn tx014_alloc_in_metrics_emission(path: &Path, src: &str, m: &FileModel, out: &
             spans.push((i + 1, close, t.text.as_str()));
         }
     }
-    if spans.is_empty() {
-        return;
-    }
-    const HELP: &str = "metrics counters are fixed-key slab increments on hot paths; pass integers and pre-interned Sym values (intern the class name once at collection construction, not per emission)";
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
@@ -776,54 +722,26 @@ fn tx014_alloc_in_metrics_emission(path: &Path, src: &str, m: &FileModel, out: &
         let next_punct = toks.get(i + 1).and_then(Tok::punct);
         let next2_punct = toks.get(i + 2).and_then(Tok::punct);
         let name = t.text.as_str();
-
-        // `format!(..)` allocates a String per emission.
-        if name == "format" && next_punct == Some('!') {
-            out.push(finding(
-                path,
-                t,
-                "TX014",
-                format!("allocating `format!` in `{emitter}(..)` metrics emission"),
-                HELP,
-            ));
-            continue;
-        }
-        // `String::from(..)` / `String::new()` and friends.
-        if name == "String" && next_punct == Some(':') && next2_punct == Some(':') {
-            out.push(finding(
-                path,
-                t,
-                "TX014",
-                format!("`String::..` construction in `{emitter}(..)` metrics emission"),
-                HELP,
-            ));
-            continue;
-        }
-        // `.to_string()` / `.to_owned()` on a payload expression.
-        if (name == "to_string" || name == "to_owned")
+        let message = if name == "format" && next_punct == Some('!') {
+            // `format!(..)` allocates a String per emission.
+            format!("allocating `format!` in `{emitter}(..)` {layer} emission")
+        } else if name == "String" && next_punct == Some(':') && next2_punct == Some(':') {
+            // `String::from(..)` / `String::new()` and friends.
+            format!("`String::..` construction in `{emitter}(..)` {layer} emission")
+        } else if (name == "to_string" || name == "to_owned")
             && prev_punct == Some('.')
             && next_punct == Some('(')
         {
-            out.push(finding(
-                path,
-                t,
-                "TX014",
-                format!("allocating `.{name}()` in `{emitter}(..)` metrics emission"),
-                HELP,
-            ));
+            // `.to_string()` / `.to_owned()` on a payload expression.
+            format!("allocating `.{name}()` in `{emitter}(..)` {layer} emission")
+        } else if name == "intern" && next_punct == Some('(') {
+            // Interning takes the global symbol-table mutex and is meant to
+            // run once per class, at construction.
+            format!("per-{unit} `intern(..)` in `{emitter}(..)` {layer} emission")
+        } else {
             continue;
-        }
-        // `intern(..)` per emission: interning takes the global symbol-table
-        // mutex and is meant to run once per class, at construction.
-        if name == "intern" && next_punct == Some('(') {
-            out.push(finding(
-                path,
-                t,
-                "TX014",
-                format!("per-emission `intern(..)` in `{emitter}(..)` metrics emission"),
-                HELP,
-            ));
-        }
+        };
+        out.push(finding(path, t, code, message, help));
     }
 }
 
@@ -1524,24 +1442,24 @@ mod tests {
     #[test]
     fn tx009_allocation_in_trace_emission() {
         assert_eq!(
-            codes("fn f() { trace::sem_lock_blocked(intern(class_name), stripe); }"),
+            codes("fn f() { obs::sem_lock_blocked(intern(class_name), stripe); }"),
             vec!["TX009"]
         );
         assert_eq!(
-            codes("fn f() { trace::txn_abort(id, cause, format!(\"{who}\")); }"),
+            codes("fn f() { obs::txn_abort(id, cause, format!(\"{who}\")); }"),
             vec!["TX009"]
         );
         assert_eq!(
-            codes("fn f() { trace::lane_enter(label.to_string()); }"),
+            codes("fn f() { obs::lane_enter(label.to_string()); }"),
             vec!["TX009"]
         );
         assert_eq!(
-            codes("fn f() { trace::doom_edge(d, v, String::from(\"map\"), k, h, o, e, c); }"),
+            codes("fn f() { obs::doom_edge(d, v, String::from(\"map\"), k, h, o, e, c); }"),
             vec!["TX009"]
         );
         // Integers and pre-interned syms are the sanctioned payloads.
         assert!(codes(
-            "fn f() { trace::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Key, key_hash64(&key)); }"
+            "fn f() { obs::sem_lock_acquired(owner.id(), stats.class_sym(), LockKind::Key, key_hash64(&key)); }"
         )
         .is_empty());
         // The emitters' own declarations are not call sites.
@@ -1550,7 +1468,7 @@ mod tests {
                 .is_empty()
         );
         // Allocation outside an emitter span is none of TX009's business.
-        assert!(codes("fn f() { let s = format!(\"x\"); trace::txn_begin(id); }").is_empty());
+        assert!(codes("fn f() { let s = format!(\"x\"); obs::txn_begin(id); }").is_empty());
         // Construction-time interning (outside any emission span) is the
         // sanctioned pattern.
         assert!(codes("fn new() -> Self { Self { class: intern(\"map\") } }").is_empty());
@@ -1774,25 +1692,25 @@ mod tests {
     fn tx014_allocation_in_metrics_emission() {
         assert_eq!(
             codes(&metrics_marked(
-                "fn f() { metrics::doom_landed(intern(class_name), stripe); }"
+                "fn f() { obs::hist_record_ns(kind_of(intern(class_name)), ns); }"
             )),
             vec!["TX014"]
         );
         assert_eq!(
             codes(&metrics_marked(
-                "fn f() { metrics::cache_hit(sym_for(format!(\"{class}\"))); }"
+                "fn f() { obs::chain_reclaimed(count_of(format!(\"{class}\"))); }"
             )),
             vec!["TX014"]
         );
         assert_eq!(
             codes(&metrics_marked(
-                "fn f() { metrics::stripe_blocked(key_of(label.to_string()), idx); }"
+                "fn f() { obs::hist_elapsed(kind_of(label.to_string()), t0); }"
             )),
             vec!["TX014"]
         );
         assert_eq!(
             codes(&metrics_marked(
-                "fn f() { metrics::hist_record_ns(kind_of(String::from(\"commit\")), ns); }"
+                "fn f() { obs::hist_record_ns(kind_of(String::from(\"commit\")), ns); }"
             )),
             vec!["TX014"]
         );
@@ -1802,17 +1720,17 @@ mod tests {
     fn tx014_sanctioned_payloads_are_clean() {
         // Integers and pre-interned syms are the sanctioned payloads.
         assert!(codes(&metrics_marked(
-            "fn f() { metrics::doom_landed(self.stats.class_sym(), stripe_of(self.key_hash)); }"
+            "fn f() { obs::hist_elapsed(HistKind::SemLockWait, wait_t0); }"
         ))
         .is_empty());
-        // The emitters' own declarations (metrics.rs) are not call sites.
+        // The emitters' own declarations (obs.rs) are not call sites.
         assert!(codes(&metrics_marked(
-            "pub fn doom_landed(class: Sym, stripe: u64) { bump(class, stripe); }"
+            "pub fn chain_reclaimed(n: u64) { bump(n); }"
         ))
         .is_empty());
         // Allocation outside an emitter span is none of TX014's business.
         assert!(codes(&metrics_marked(
-            "fn f() { let s = format!(\"x\"); metrics::commit_counted(); }"
+            "fn f() { let s = format!(\"x\"); obs::handler_run(); }"
         ))
         .is_empty());
         // Construction-time interning (outside any emission span) stays the
@@ -1827,7 +1745,7 @@ mod tests {
     fn tx014_ignores_unmarked_files() {
         // The emitter names are ordinary words; without the marker the rule
         // must not run at all.
-        let src = "fn f() { metrics::doom_landed(intern(class_name), stripe); }";
+        let src = "fn f() { obs::hist_record_ns(kind_of(intern(class_name)), ns); }";
         assert_eq!(codes(src), Vec::<&str>::new());
     }
 

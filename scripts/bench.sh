@@ -6,8 +6,8 @@
 #   BENCH_PR3.json — collection hot-path scaling (PR 3): striped semantic
 #                    lock tables vs the single-table baseline.
 #   BENCH_PR5.json — tracing overhead (PR 5): the conflict-provenance trace
-#                    layer off (must match PR4's sharded commit numbers
-#                    within host noise) vs on vs on-with-overflowing-rings.
+#                    layer off vs on vs on-with-overflowing-rings. No longer
+#                    regenerated: its bench was merged into obs_overhead.
 #   BENCH_PR8.json — boosted vs TVar map backends + amortization sweep
 #                    (PR 8): the PR 7 uncontended workloads plus read-only
 #                    transactions at ops_per_txn 1/16/64 with repeat vs
@@ -25,10 +25,19 @@
 #                    latency per backend (TVar RMW vs boosted map) from the
 #                    enabled commit-latency histogram. Ceiling-gated:
 #                    metrics_alloc_count = 0 and the summed on/off ratio.
+#                    No longer regenerated: its bench became obs_overhead.
 #                    As everywhere in this file: 1-CPU container, ns/op
 #                    medians carry ~38% run-to-run noise — counters and
 #                    percentile bucket bounds are the stable signals,
 #                    wall-clock is context.
+#   BENCH_PR12.json — observability pipeline overhead (PR 12): disjoint-RMW
+#                    ns/txn with the stm::obs guard off vs on at 1/2/4/8
+#                    threads, a counting-allocator loop over every public
+#                    emitter, and p50/p99 commit latency per backend.
+#                    Ceiling-gated like PR 10: metrics_alloc_count = 0 and
+#                    the summed metrics_on_off_ratio. BENCH_PR5.json (trace
+#                    layer) and BENCH_PR10.json (metrics layer) stay checked
+#                    in as the measurements of the layers it replaced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,17 +47,14 @@ cat BENCH_PR2.json
 cargo bench -q -p bench --bench collection_scaling >BENCH_PR3.json
 cat BENCH_PR3.json
 
-cargo bench -q -p bench --bench trace_overhead >BENCH_PR5.json
-cat BENCH_PR5.json
-
 cargo bench -q -p bench --bench boosted_vs_tvar >BENCH_PR8.json
 cat BENCH_PR8.json
 
 cargo bench -q -p bench --bench snapshot_reads >BENCH_PR9.json
 cat BENCH_PR9.json
 
-cargo bench -q -p bench --bench metrics_overhead >BENCH_PR10.json
-cat BENCH_PR10.json
+cargo bench -q -p bench --bench obs_overhead >BENCH_PR12.json
+cat BENCH_PR12.json
 
 # Counter-based regression gate: the new report's protocol counters may not
 # blow past the previous PR's where the two are comparable, and the
@@ -58,21 +64,15 @@ cat BENCH_PR10.json
 cargo run -q --release -p bench --bin benchdiff -- BENCH_PR7.json BENCH_PR8.json
 cargo run -q --release -p bench --bin benchdiff -- BENCH_PR8.json BENCH_PR9.json
 cargo run -q --release -p bench --bin benchdiff -- BENCH_PR9.json BENCH_PR10.json
+cargo run -q --release -p bench --bin benchdiff -- BENCH_PR10.json BENCH_PR12.json
 
-# Smoke the provenance reporter end to end: traced contended-map soak,
-# export, re-parse and structurally validate the exported trace. The second
-# soak repeats one key per transaction so the txn-local lock cache is
-# exercised under tracing and contention.
+# Smoke the reporter end to end: an armed contended-map soak (provenance
+# report, windowed metrics, flight recorder, and two Prometheus scrapes that
+# must parse and stay monotone), export, then re-parse and structurally
+# validate the exported trace. The second soak repeats one key per
+# transaction so the txn-local lock cache is exercised under contention.
 cargo build -q --release -p bench --bin txtop
 ./target/release/txtop --soak --threads 4 --txns 300 --export-json target/txtop_trace.json
 ./target/release/txtop --validate target/txtop_trace.json
 ./target/release/txtop --soak --threads 4 --txns 300 --repeat-keys --export-json target/txtop_repeat_trace.json
 ./target/release/txtop --validate target/txtop_repeat_trace.json
-
-# Dimensional metrics end to end: a contended soak under the metrics layer
-# with the flight recorder armed (renders the per-class/per-stripe doom-rate
-# table and the latency percentiles), then the Prometheus validation pass —
-# two cumulative scrapes with soak activity between must parse and stay
-# monotone series-by-series.
-./target/release/txtop --metrics --threads 4 --txns 300
-./target/release/txtop --metrics --validate --threads 2 --txns 200
