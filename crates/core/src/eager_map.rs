@@ -405,6 +405,33 @@ where
         self.core.stats()
     }
 
+    /// Keys with a reader or a writer lock outstanding, across all stripes
+    /// (diagnostics: nonzero with no transaction in flight is a leak).
+    pub fn locked_key_count(&self) -> usize {
+        let tables = &self.core.class().tables;
+        let mut n = 0;
+        tables.for_stripes_ascending(0..tables.stripe_count(), self.core.stats(), |_, s| {
+            n += s
+                .readers
+                .keys()
+                .chain(s.writers.keys())
+                .collect::<HashSet<_>>()
+                .len();
+        });
+        n
+    }
+
+    /// Per-transaction local-state entries currently live (diagnostics).
+    pub fn resident_local_count(&self) -> usize {
+        self.core.resident_locals()
+    }
+
+    /// Per-transaction undo logs currently live (diagnostics: a committed
+    /// or aborted writer must leave none behind).
+    pub fn resident_undo_log_count(&self) -> usize {
+        self.core.resident_undo_logs()
+    }
+
     fn assert_usable(tx: &Txn) {
         assert!(
             tx.mode() == TxnMode::Speculative,
@@ -460,7 +487,7 @@ where
         if blocked {
             stm::abort_and_retry();
         }
-        self.with_local(tx, |l| {
+        self.core.observe_local(tx, |l| {
             l.read_keys.insert(key.clone());
         });
         // Read locks are re-taken on every call rather than cached: caching
@@ -482,7 +509,7 @@ where
     pub fn size(&self, tx: &mut Txn) -> usize {
         Self::assert_usable(tx);
         self.ensure_registered(tx);
-        let own = self.with_local(tx, |l| {
+        let own = self.core.observe_local(tx, |l| {
             l.holds_size_lock = true;
             l.delta
         });
@@ -583,25 +610,37 @@ where
         self.with_local(tx, |l| l.delta += change);
     }
 
+    /// The compensation for this transaction's first in-place write of
+    /// `key`, to be logged **before** the write happens (write-ahead). The
+    /// write runs in an open child, and a doom landing while that child
+    /// runs unwinds the body as the child returns — an undo logged after
+    /// the write would never be logged, and the applied write would
+    /// outlive the abort. Under the exclusive write lock the value read
+    /// here is the one the write replaces. `None` for later writes of the
+    /// key: the first entry undoes them too.
+    fn first_undo(&self, tx: &mut Txn, key: &K) -> Option<UndoOp<K, V>> {
+        if !self.with_local(tx, |l| l.undone_keys.insert(key.clone())) {
+            return None;
+        }
+        let backend = &self.core.class().backend;
+        Some(match tx.open_read(|otx| backend.get(otx, key)) {
+            Some(v) => UndoOp::Restore(key.clone(), v),
+            None => UndoOp::Delete(key.clone()),
+        })
+    }
+
     /// Insert or replace **in place**; returns the previous value. The undo
     /// log restores it if the transaction aborts.
     pub fn put(&self, tx: &mut Txn, key: K, value: V) -> Option<V> {
         Self::assert_usable(tx);
         self.ensure_registered(tx);
         self.acquire_write_lock(tx, &key);
+        if let Some(undo) = self.first_undo(tx, &key) {
+            self.core.log_undo(tx, undo);
+        }
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.insert(otx, k2.clone(), value.clone()));
-        // Only the first in-place write of a key needs an undo entry; later
-        // writes are undone by the same restore.
-        if self.with_local(tx, |l| l.undone_keys.insert(key.clone())) {
-            match &old {
-                Some(v) => self
-                    .core
-                    .log_undo(tx, UndoOp::Restore(key.clone(), v.clone())),
-                None => self.core.log_undo(tx, UndoOp::Delete(key.clone())),
-            }
-        }
         if old.is_none() {
             self.size_changed(tx, 1);
         }
@@ -613,14 +652,13 @@ where
         Self::assert_usable(tx);
         self.ensure_registered(tx);
         self.acquire_write_lock(tx, key);
+        if let Some(undo) = self.first_undo(tx, key) {
+            self.core.log_undo(tx, undo);
+        }
         let backend = &self.core.class().backend;
         let k2 = key.clone();
         let old = tx.open(move |otx| backend.remove(otx, &k2));
-        if let Some(v) = &old {
-            if self.with_local(tx, |l| l.undone_keys.insert(key.clone())) {
-                self.core
-                    .log_undo(tx, UndoOp::Restore(key.clone(), v.clone()));
-            }
+        if old.is_some() {
             self.size_changed(tx, -1);
         }
         old

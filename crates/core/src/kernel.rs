@@ -65,7 +65,7 @@
 //!   returns a [`GlobalPhase`] token that the type system forces the class
 //!   to `finish` — the global phase cannot be skipped or run early.
 //! * **The doom-protocol case analysis.** [`KeyCtx::doom`] and
-//!   [`PointCtx::doom`] route an [`UpdateEffect`] through the paper's
+//!   [`GlobalPhase::finish`] route an [`UpdateEffect`] through the paper's
 //!   observation-mode compatibility table (`mode_compatible`) and charge
 //!   the right [`SemanticStats`] counter, so classes state *what* an update
 //!   does, never *who* to doom.
@@ -109,8 +109,12 @@ use stm::{Txn, TxnMode};
 /// sharding, sweep order, doom dispatch — is [`SemanticCore`]'s.
 ///
 /// `apply` and `release` run in **direct mode** under the stm handler lane
-/// (serialized against all other handlers), with the attempt's drained
-/// `Local` passed by value. They must uphold the sweep discipline: touched
+/// (serialized against all other updating handlers), with the attempt's
+/// drained `Local` passed by value. For an observer-only attempt — one
+/// that never buffered through [`SemanticCore::with_local`] or logged
+/// through [`SemanticCore::log_undo`] — they may run without the lane and
+/// must only release: no backend write, no doom (debug builds panic on
+/// either). They must uphold the sweep discipline: touched
 /// key stripes ascending, global stripe last, own locks released last —
 /// which [`ClassTables::commit_sweep`] / [`ClassTables::release_sweep`]
 /// do structurally for keyed classes.
@@ -374,36 +378,42 @@ impl<C: SemanticClass> SemanticCore<C> {
             return;
         }
         let id = tx.handle().id();
-        let inner = Arc::clone(&self.inner);
-        tx.on_commit_top(move |htx| {
-            // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the txn-local
-            // lock cache dies here, before the apply sweep releases a
-            // single semantic lock.
-            drop(htx.ext_remove(tag));
-            // Committed eager mutations stand: the undo log is dead weight,
-            // dropped before the apply sweep so nothing replays it.
-            drop(inner.undo.remove(id));
-            let local = inner.locals.remove(id).unwrap_or_default();
-            inner.class.apply(local, htx, id, &inner.stats);
-        });
-        let inner = Arc::clone(&self.inner);
-        tx.on_abort_top(move |htx| {
-            // Invalidate the lock cache first: nothing after this point may
-            // trust a cached acquisition while the footprint unwinds.
-            drop(htx.ext_remove(tag));
-            // Undo before release: drain the compensation log in reverse
-            // while transaction `id` still holds every semantic lock it
-            // took, so no observer can see a partially rolled-back state
-            // between a compensating write and the lock drop
-            // (docs/PROTOCOL.md, "undo-before-release").
-            if let Some(log) = inner.undo.remove(id) {
-                for entry in log.into_iter().rev() {
-                    inner.class.compensate(entry, htx);
+        let (on_commit, on_abort) = (Arc::clone(&self.inner), Arc::clone(&self.inner));
+        // Registering the pair does not make the attempt updating: until
+        // `with_local` or `log_undo` marks it, both handlers only release
+        // and may run without the handler lane (an observer-only commit).
+        tx.on_class_top(
+            move |htx| {
+                // Cache lifetime ⊆ lock hold (docs/PROTOCOL.md): the
+                // txn-local lock cache dies here, before the apply sweep
+                // releases a single semantic lock.
+                drop(htx.ext_remove(tag));
+                // Committed eager mutations stand: the undo log is dead
+                // weight, dropped before the apply sweep so nothing
+                // replays it.
+                drop(on_commit.undo.remove(id));
+                let local = on_commit.locals.remove(id).unwrap_or_default();
+                on_commit.class.apply(local, htx, id, &on_commit.stats);
+            },
+            move |htx| {
+                // Invalidate the lock cache first: nothing after this point
+                // may trust a cached acquisition while the footprint
+                // unwinds.
+                drop(htx.ext_remove(tag));
+                // Undo before release: drain the compensation log in
+                // reverse while transaction `id` still holds every semantic
+                // lock it took, so no observer can see a partially
+                // rolled-back state between a compensating write and the
+                // lock drop (docs/PROTOCOL.md, "undo-before-release").
+                if let Some(log) = on_abort.undo.remove(id) {
+                    for entry in log.into_iter().rev() {
+                        on_abort.class.compensate(entry, htx);
+                    }
                 }
-            }
-            let local = inner.locals.remove(id).unwrap_or_default();
-            inner.class.release(local, htx, id, &inner.stats);
-        });
+                let local = on_abort.locals.remove(id).unwrap_or_default();
+                on_abort.class.release(local, htx, id, &on_abort.stats);
+            },
+        );
         // Marker last: an unwind between handler registration and this
         // insert leaves no marker (the next attempt re-registers) and the
         // already-registered handlers drain harmlessly empty state. The
@@ -519,7 +529,26 @@ impl<C: SemanticClass> SemanticCore<C> {
     /// Run `f` on the calling transaction's local state (creating it at
     /// `Default` if absent — call [`Self::ensure_registered`] first so the
     /// handlers that will drain it exist).
+    ///
+    /// This is the **write-side** entry point every buffering operation
+    /// goes through: it marks the attempt as updating
+    /// ([`Txn::mark_updating`]), so its commit handler — which will apply
+    /// what `f` buffers — runs under the handler lane. Read-side
+    /// bookkeeping (recording a lock just taken) uses
+    /// [`Self::observe_local`] instead, which leaves an observer-only
+    /// attempt free to commit without the lane.
     pub fn with_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut C::Local) -> R) -> R {
+        tx.mark_updating();
+        self.observe_local(tx, f)
+    }
+
+    /// Run `f` on the calling transaction's local state for **read-side**
+    /// bookkeeping only — recording a semantic lock the operation took, so
+    /// the handlers can release it. Creates the entry like
+    /// [`Self::with_local`] but does not mark the attempt as updating: `f`
+    /// must not buffer anything the commit handler would apply (debug
+    /// builds panic if a handler of an unmarked attempt writes or dooms).
+    pub fn observe_local<R>(&self, tx: &Txn, f: impl FnOnce(&mut C::Local) -> R) -> R {
         tx.reject_in_snapshot(
             "collection mutation inside a snapshot transaction (stm::atomic_read): snapshot \
              transactions are read-only — run writes under stm::atomic",
@@ -550,12 +579,14 @@ impl<C: SemanticClass> SemanticCore<C> {
     /// logging order through [`SemanticClass::compensate`], strictly before
     /// [`SemanticClass::release`]; a commit discards the log. Call
     /// [`Self::ensure_registered`] first — an unregistered transaction has
-    /// no handler to drain what it logs.
+    /// no handler to drain what it logs. Marks the attempt as updating: its
+    /// abort handler compensates, which writes.
     pub fn log_undo(&self, tx: &Txn, entry: C::Undo) {
         tx.reject_in_snapshot(
             "eager collection mutation inside a snapshot transaction (stm::atomic_read): \
              snapshot transactions are read-only — run writes under stm::atomic",
         );
+        tx.mark_updating();
         self.inner
             .undo
             .with(tx.handle().id(), |log| log.push(entry));
@@ -732,40 +763,44 @@ pub struct GlobalPhase<'t, K> {
 impl<K> GlobalPhase<'_, K> {
     /// Enter the global stripe (strictly after every key-stripe hold —
     /// a size/empty observer locking after this scan reads the fully
-    /// applied post-commit state), run `point` to doom point-lock holders,
-    /// then release the owner's point locks, last.
-    pub fn finish(self, point: impl FnOnce(&mut PointCtx<'_>)) {
+    /// applied post-commit state), doom every other active point-lock
+    /// holder each of `effects` is incompatible with (charged to
+    /// `size_conflicts`/`empty_conflicts`; [`UpdateEffect::SizeChange`]
+    /// reaches size lockers, [`UpdateEffect::ZeroCross`] both size and
+    /// emptiness lockers), then release the owner's point locks, last.
+    ///
+    /// `holds_points` says whether the owner took a size or emptiness lock
+    /// on this instance (pass `true` if the class does not track it). When
+    /// it did not and `effects` is empty, the visit would doom nothing and
+    /// release nothing, so the global stripe is not entered at all — the
+    /// common single-key commit never touches this instance-wide mutex.
+    pub fn finish(self, holds_points: bool, effects: &[UpdateEffect]) {
+        if !holds_points && effects.is_empty() {
+            return;
+        }
         self.tables.with_global(self.stats, |g| {
-            let mut cx = PointCtx {
-                points: g,
-                stats: self.stats,
-                id: self.id,
-            };
-            point(&mut cx);
+            for &effect in effects {
+                let (by_size, by_empty) = g.doom_update(effect, self.id, self.stats);
+                self.stats.bump(&self.stats.size_conflicts, by_size);
+                self.stats.bump(&self.stats.empty_conflicts, by_empty);
+            }
             g.release_owner(self.id, self.stats);
         });
     }
 }
 
-/// Point-lock doom context for the global phase of a commit sweep: dooms
-/// route through the compatibility table ([`UpdateEffect::SizeChange`]
-/// reaches size lockers, [`UpdateEffect::ZeroCross`] reaches both size and
-/// emptiness lockers) with stats charged automatically.
-pub struct PointCtx<'g> {
-    points: &'g mut PointLocks,
-    stats: &'g SemanticStats,
-    id: u64,
-}
-
-impl PointCtx<'_> {
-    /// Doom every other active point-lock holder `effect` is incompatible
-    /// with (charged to `size_conflicts`/`empty_conflicts`). Returns how
-    /// many dooms landed.
-    pub fn doom(&mut self, effect: UpdateEffect) -> u64 {
-        let (by_size, by_empty) = self.points.doom_update(effect, self.id, self.stats);
-        self.stats.bump(&self.stats.size_conflicts, by_size);
-        self.stats.bump(&self.stats.empty_conflicts, by_empty);
-        by_size + by_empty
+/// The point-lock effects of a commit during which the collection's size
+/// took values between `lo` and `hi` (in either order): none if it never
+/// moved, a size change, and a zero crossing if exactly one end is zero.
+/// An observer may have read any size in between, so the range — not the
+/// net change — decides.
+pub(crate) fn size_effects(lo: isize, hi: isize) -> &'static [UpdateEffect] {
+    if lo == hi {
+        &[]
+    } else if (lo == 0) != (hi == 0) {
+        &[UpdateEffect::SizeChange, UpdateEffect::ZeroCross]
+    } else {
+        &[UpdateEffect::SizeChange]
     }
 }
 
@@ -1093,9 +1128,7 @@ mod tests {
                 cx.doom(UpdateEffect::KeyWrite, _k);
             },
         );
-        global.finish(|g| {
-            g.doom(UpdateEffect::SizeChange);
-        });
+        global.finish(true, &[UpdateEffect::SizeChange]);
         assert_eq!(applied, 2);
         assert_eq!(tables.locked_key_count(&stats), 0);
         t.commit();

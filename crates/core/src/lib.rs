@@ -123,9 +123,7 @@ pub use conflict_graph::{
 };
 pub use eager_map::{EagerPolicy, EagerTransactionalMap, EAGER_MAP_CONFLICT_GRAPH};
 pub use interval_map::{TransactionalIntervalMap, INTERVAL_MAP_CONFLICT_GRAPH};
-pub use kernel::{
-    CachedPoint, ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore,
-};
+pub use kernel::{CachedPoint, ClassTables, GlobalPhase, KeyCtx, SemanticClass, SemanticCore};
 pub use locks::{
     key_hash64, mode_compatible, mode_compatible_spec, stripe_index, ObsMode, Owner,
     RangeIndexKind, SemanticStats, StripeHasher, UpdateEffect, DEFAULT_STRIPES,

@@ -34,11 +34,15 @@
 //! A reader takes its key lock *before* reading the committed value; a
 //! committing writer applies its changes and *then* scans lockers, with the
 //! per-key apply and the doom-scan for that key under one hold of the
-//! stripe the key hashes to (and all handler execution serialized by the
-//! stm crate's handler lane). If the reader saw the old value, its lock was
-//! in the stripe before the writer's scan, so the writer dooms it — and the
-//! doom lands, because a handler-bearing reader's point of no return sits
-//! inside its own lane hold, which cannot overlap the writer's. If the
+//! stripe the key hashes to (and all updating handler execution serialized
+//! by the stm crate's handler lane). If the reader saw the old value, its
+//! lock was in the stripe before the writer's scan, so the writer dooms it
+//! — and the doom lands: a reader that buffered writes commits inside its
+//! own lane hold, which cannot overlap the writer's, and a pure observer
+//! that commits lane-free does so only after checking that no updating
+//! handler is inside the lane, which it cannot pass while the writer is
+//! between applies it partly observed (`docs/PROTOCOL.md`, "Observer-only
+//! commits"). If the
 //! reader's lock arrived after the scan, the stripe-mutex ordering means
 //! the apply already happened, so its open-nested read validates against
 //! the fully applied new value — either way the reader is serializable.
@@ -51,7 +55,7 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, SemanticClass, SemanticCore};
+use crate::kernel::{size_effects, CachedPoint, ClassTables, SemanticClass, SemanticCore};
 use crate::locks::{ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -278,6 +282,9 @@ pub(crate) struct MapLocal<K, V> {
     /// Keys written blindly (`put_discard`/`remove_discard`): their effect on
     /// the size is unknown until resolved or until commit.
     pub blind: HashSet<K>,
+    /// Whether this transaction took the size or emptiness lock: if not,
+    /// and its commit changes no size, the commit skips the global stripe.
+    pub holds_points: bool,
 }
 
 impl<K, V> Default for MapLocal<K, V> {
@@ -287,6 +294,7 @@ impl<K, V> Default for MapLocal<K, V> {
             store_buffer: HashMap::new(),
             delta: 0,
             blind: HashSet::new(),
+            holds_points: false,
         }
     }
 }
@@ -330,11 +338,11 @@ where
     /// stripe, size/empty dooms in the global stripe last (the kernel's
     /// sweep discipline).
     fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        let size_before = self.backend.len(htx) as isize;
-        let mut size_now = size_before;
         // Key applies publish one at a time, so a size observer may read any
-        // size between them: track the range every state falls in.
-        let (mut size_min, mut size_max) = (size_before, size_before);
+        // size between them: track the range every state falls in, relative
+        // to the size before the commit (no all-shard `len()` up front).
+        let mut size_now: isize = 0;
+        let (mut size_min, mut size_max) = (0, 0);
         let global = self.tables.commit_sweep(
             stats,
             id,
@@ -361,19 +369,21 @@ where
                 }
             },
         );
+        // Doom an observer whenever some state it may have read differs
+        // from the final one — not only when the net size changed. Only
+        // then does the zero-crossing test need the absolute size: one
+        // `len()` after the applies (still under the handler lane, so no
+        // other commit moved it) places the range.
+        let effects = if size_min == size_max {
+            &[]
+        } else {
+            let before = self.backend.len(htx) as isize - size_now;
+            size_effects(before + size_min, before + size_max)
+        };
         // Global stripe last: every key apply above happens-before this
         // hold, so a size/empty observer locking after this scan reads the
         // fully applied post-commit state.
-        global.finish(|g| {
-            // Doom an observer whenever some state it may have read differs
-            // from the final one — not only when the net size changed.
-            if size_min != size_max {
-                g.doom(UpdateEffect::SizeChange);
-                if (size_min == 0) != (size_max == 0) {
-                    g.doom(UpdateEffect::ZeroCross);
-                }
-            }
-        });
+        global.finish(local.holds_points, effects);
     }
 
     /// Abort handler (compensating transaction): discard buffered state,
@@ -542,10 +552,27 @@ where
             .class()
             .tables
             .take_key_lock(self.core.stats(), key.clone(), owner);
-        self.with_local(tx, |l| {
+        self.core.observe_local(tx, |l| {
             l.key_locks.insert(key.clone());
         });
         self.core.note_key_lock(tx, key.clone());
+    }
+
+    /// Take the size or emptiness lock (global stripe) unless the lock
+    /// cache says this transaction already holds it, and record that it
+    /// holds a point lock so its handlers release it.
+    fn take_point_lock(&self, tx: &mut Txn, p: CachedPoint) {
+        if self.core.point_lock_cached(tx, p) {
+            return;
+        }
+        let owner = tx.handle().clone();
+        let (tables, stats) = (&self.core.class().tables, self.core.stats());
+        match p {
+            CachedPoint::Empty => tables.take_empty_lock(stats, owner),
+            _ => tables.take_size_lock(stats, owner),
+        }
+        self.core.observe_local(tx, |l| l.holds_points = true);
+        self.core.note_point_lock(tx, p);
     }
 
     fn buffered(&self, tx: &Txn, key: &K) -> Option<BufWrite<V>> {
@@ -676,14 +703,7 @@ where
         Self::assert_usable(tx);
         self.ensure_registered(tx);
         self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Size) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_size_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Size);
-        }
+        self.take_point_lock(tx, CachedPoint::Size);
         let backend = &self.core.class().backend;
         let committed = tx.open_read(|otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
@@ -705,14 +725,7 @@ where
         Self::assert_usable(tx);
         self.ensure_registered(tx);
         self.resolve_blind(tx);
-        if !self.core.point_lock_cached(tx, CachedPoint::Empty) {
-            let owner = tx.handle().clone();
-            self.core
-                .class()
-                .tables
-                .take_empty_lock(self.core.stats(), owner);
-            self.core.note_point_lock(tx, CachedPoint::Empty);
-        }
+        self.take_point_lock(tx, CachedPoint::Empty);
         let backend = &self.core.class().backend;
         let committed = tx.open_read(|otx| backend.len(otx));
         let delta = self.core.try_local(tx, |l| l.delta).unwrap_or(0);
@@ -924,6 +937,13 @@ where
     pub fn resident_local_count(&self) -> usize {
         self.core.resident_locals()
     }
+
+    /// Number of per-transaction undo logs currently live (diagnostics:
+    /// this class buffers instead of logging, so anything but zero is a
+    /// kernel leak).
+    pub fn resident_undo_log_count(&self) -> usize {
+        self.core.resident_undo_logs()
+    }
 }
 
 /// Iterator over a [`TransactionalMap`]; see [`TransactionalMap::iter`].
@@ -984,15 +1004,7 @@ where
             }
             if !self.exhausted {
                 self.exhausted = true;
-                if !self.map.core.point_lock_cached(tx, CachedPoint::Size) {
-                    let owner = tx.handle().clone();
-                    self.map
-                        .core
-                        .class()
-                        .tables
-                        .take_size_lock(self.map.core.stats(), owner);
-                    self.map.core.note_point_lock(tx, CachedPoint::Size);
-                }
+                self.map.take_point_lock(tx, CachedPoint::Size);
                 // Completeness check: keys committed after our snapshot would
                 // silently be missed. Verify the set of confirmed keys equals
                 // the live committed key set; otherwise abort and retry. Every

@@ -15,7 +15,7 @@
 // txlint: fast-path
 use crate::backend::MapBackend;
 use crate::conflict_graph::{edge, op, ConflictGraph, Overlap};
-use crate::kernel::{CachedPoint, ClassTables, SemanticClass, SemanticCore};
+use crate::kernel::{size_effects, CachedPoint, ClassTables, SemanticClass, SemanticCore};
 use crate::locks::{ObsMode, SemanticStats, UpdateEffect, DEFAULT_STRIPES};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -198,14 +198,13 @@ where
         if total_after != total_before {
             self.total.write(htx, total_after);
         }
-        global.finish(|g| {
-            if total_after != total_before {
-                g.doom(UpdateEffect::SizeChange);
-                if (total_before == 0) != (total_after == 0) {
-                    g.doom(UpdateEffect::ZeroCross);
-                }
-            }
-        });
+        // The total publishes once, so its range is its two ends. The
+        // multiset does not track whether this owner took a size or
+        // emptiness lock, so it always visits the global stripe.
+        global.finish(
+            true,
+            size_effects(total_before as isize, total_after as isize),
+        );
     }
 
     /// Abort handler: writes were only buffered — pure lock release.
@@ -338,7 +337,7 @@ where
             .class()
             .tables
             .take_key_lock(self.core.stats(), value.clone(), owner);
-        self.with_local(tx, |l| {
+        self.core.observe_local(tx, |l| {
             l.key_locks.insert(value.clone());
         });
         self.core.note_key_lock(tx, value.clone());

@@ -444,7 +444,7 @@ where
         class.tables.with_stripe_for(value, stats, |s| {
             s.take_key_lock(value.clone(), owner, stats);
         });
-        self.with_local(tx, |l| {
+        self.core.observe_local(tx, |l| {
             l.key_locks.insert(value.clone());
         });
         self.core.note_key_lock(tx, value.clone());

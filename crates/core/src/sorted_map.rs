@@ -402,16 +402,23 @@ where
     /// (ascending, the kernel's sweep), then the global stripe **last** for
     /// the range/endpoint/size dooms and the point-lock release.
     fn apply(&self, local: MapLocal<K, V>, htx: &mut Txn, id: u64, stats: &SemanticStats) {
-        // The handler lane serializes every handler and every writing
-        // open-nested commit, so these pre-apply endpoint/size reads are
-        // stable without holding any table lock.
-        let first_before = self.backend.first_entry(htx).map(|(k, _)| k);
-        let last_before = self.backend.last_entry(htx).map(|(k, _)| k);
-        let size_before = self.backend.len(htx) as isize;
-        let mut size_now = size_before;
+        // The handler lane serializes every updating handler and every
+        // writing open-nested commit, so these pre-apply endpoint reads are
+        // stable without holding any table lock. A commit that buffered
+        // nothing changes no endpoint and skips them.
+        let writes = !local.store_buffer.is_empty();
+        let ends = |htx: &mut Txn| {
+            (
+                self.backend.first_entry(htx).map(|(k, _)| k),
+                self.backend.last_entry(htx).map(|(k, _)| k),
+            )
+        };
+        let ends_before = writes.then(|| ends(htx));
         // Key applies publish one at a time, so a size observer may read any
-        // size between them: track the range every state falls in.
-        let (mut size_min, mut size_max) = (size_before, size_before);
+        // size between them: track the range every state falls in, relative
+        // to the size before the commit (no `len()` up front).
+        let mut size_now: isize = 0;
+        let (mut size_min, mut size_max) = (0, 0);
 
         // Phase 1 — key stripes, ascending (kernel sweep): apply each
         // buffered write and doom key-lock observers under the key's
@@ -454,8 +461,20 @@ where
         // Phase 2 — global stripe, last: every apply above happens-before
         // this hold, so range/endpoint/size observers locking after this
         // scan read the fully applied post-commit state.
-        let first_after = self.backend.first_entry(htx).map(|(k, _)| k);
-        let last_after = self.backend.last_entry(htx).map(|(k, _)| k);
+        let (first_changed, last_changed) = match ends_before {
+            Some((first_before, last_before)) => {
+                let (first_after, last_after) = ends(htx);
+                (first_before != first_after, last_before != last_after)
+            }
+            None => (false, false),
+        };
+        // The absolute size matters only for the zero-crossing test, and
+        // only if the size varied: one `len()` after the applies, still
+        // under the handler lane.
+        let zero_cross = size_min != size_max && {
+            let before = self.backend.len(htx) as isize - size_now;
+            (before + size_min == 0) != (before + size_max == 0)
+        };
         self.tables.with_global(stats, |g| {
             for k in &changed_keys {
                 let (by_range, _, _) =
@@ -463,13 +482,13 @@ where
                         .doom_update(UpdateEffect::KeyWrite, Some(k), key_hash64(k), id, stats);
                 stats.bump(&stats.range_conflicts, by_range);
             }
-            if first_before != first_after {
+            if first_changed {
                 let (_, by_first, _) =
                     g.sorted
                         .doom_update(UpdateEffect::FirstChange, None, 0, id, stats);
                 stats.bump(&stats.first_conflicts, by_first);
             }
-            if last_before != last_after {
+            if last_changed {
                 let (_, _, by_last) =
                     g.sorted
                         .doom_update(UpdateEffect::LastChange, None, 0, id, stats);
@@ -480,7 +499,7 @@ where
             if size_min != size_max {
                 let (by_size, _) = g.points.doom_update(UpdateEffect::SizeChange, id, stats);
                 stats.bump(&stats.size_conflicts, by_size);
-                if (size_min == 0) != (size_max == 0) {
+                if zero_cross {
                     let (_, by_empty) = g.points.doom_update(UpdateEffect::ZeroCross, id, stats);
                     stats.bump(&stats.empty_conflicts, by_empty);
                 }
@@ -651,7 +670,7 @@ where
         class.tables.with_stripe_for(key, stats, |s| {
             s.take_key_lock(key.clone(), owner, stats);
         });
-        self.with_local(tx, |l| {
+        self.core.observe_local(tx, |l| {
             l.key_locks.insert(key.clone());
         });
         self.core.note_key_lock(tx, key.clone());

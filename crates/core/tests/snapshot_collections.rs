@@ -5,7 +5,7 @@
 //! backends, the eager map) taking the *counted* validated fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use stm::{atomic, global_stats};
 use txcollections::{
     Channel, EagerPolicy, EagerTransactionalMap, TransactionalIntervalMap, TransactionalMap,
@@ -16,6 +16,12 @@ use txcollections::{
 /// Serializes the tests asserting exact deltas on process-global counters.
 static STATS_GATE: Mutex<()> = Mutex::new(());
 
+/// Take [`STATS_GATE`], ignoring poison: a test that failed while holding
+/// it must not fail every later test of the binary as well.
+fn stats_gate() -> MutexGuard<'static, ()> {
+    STATS_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn lock_acqs(stats: &txcollections::SemanticStats) -> u64 {
     stats.lock_acquisitions.load(Ordering::Relaxed)
 }
@@ -25,7 +31,7 @@ fn lock_acqs(stats: &txcollections::SemanticStats) -> u64 {
 /// acquisitions, and zero global-stripe visits.
 #[test]
 fn snapshot_reads_take_zero_locks_across_all_collections() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
 
     let map: TransactionalMap<u32, String> = TransactionalMap::new();
     let sorted: TransactionalSortedMap<u32, u32> = TransactionalSortedMap::new();
@@ -128,7 +134,7 @@ fn snapshot_reads_take_zero_locks_across_all_collections() {
 /// counted, correct, and not an abort.
 #[test]
 fn boosted_backend_snapshot_falls_back_counted() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let m: TransactionalMap<u32, u32, _> = TransactionalMap::boosted();
     atomic(|tx| m.put_discard(tx, 7, 70));
 
@@ -144,7 +150,7 @@ fn boosted_backend_snapshot_falls_back_counted() {
 /// snapshot could observe uncommitted state. Always falls back, counted.
 #[test]
 fn eager_map_snapshot_always_falls_back() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let m: EagerTransactionalMap<u32, u32> = EagerTransactionalMap::new(EagerPolicy::WriterWaits);
     atomic(|tx| {
         m.put(tx, 1, 10);
@@ -164,7 +170,7 @@ fn eager_map_snapshot_always_falls_back() {
 /// plus hammering snapshot observers commit with zero aborts total.
 #[test]
 fn snapshot_size_never_dooms_concurrent_writers() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let before = global_stats();
     let m: Arc<TransactionalMap<u64, u64>> = Arc::new(TransactionalMap::new());
     let observed_max = AtomicU64::new(0);
@@ -232,7 +238,7 @@ fn snapshot_size_never_dooms_concurrent_writers() {
 /// half-applied write set) would show up as any other value.
 #[test]
 fn snapshot_across_collections_sees_at_most_the_in_flight_item() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let q: Arc<TransactionalQueue<u32>> = Arc::new(TransactionalQueue::new());
     let m: Arc<TransactionalMap<u32, ()>> = Arc::new(TransactionalMap::new());
     atomic(|tx| {

@@ -49,6 +49,22 @@
 //! direct-mode-visible mutation) ever take it; a plain memory transaction
 //! commits without touching any shared lock except its own write set's.
 //!
+//! **The one exception: observer-only commits.** An attempt whose handlers
+//! only release (no class buffered or eagerly applied an update, its root
+//! frame wrote no var, and no writing open child committed into it — see
+//! `Txn::mark_updating`) runs them without the lane *unless an updating
+//! holder is inside it right now*. Updating holders bump the lane sequence
+//! word [`LANE_SEQ`] on enter and on exit, so it is odd exactly while one
+//! runs; an observer reads it after its last read ([`updater_in_lane`]) and
+//! takes the lane as a non-updating holder (no bump) only when it is odd.
+//! Reading it even means every updater whose effect the observer saw has
+//! already left the lane, so every doom that updater issued is visible to
+//! the observer's own doom-vs-commit CAS. `docs/PROTOCOL.md` ("Observer-only
+//! commits") has the argument and the counterexample that rules out the
+//! rule without the sequence word. Debug builds make a handler running
+//! without an updating hold panic if it writes or dooms
+//! ([`assert_may_update`]).
+//!
 //! Lock order (see `docs/PROTOCOL.md` for the full proof):
 //! **var locks → clock → handler lane → table mutex**, with the release
 //! discipline that a top-level committer fully releases its var locks
@@ -57,15 +73,21 @@
 //! Nobody ever waits for the lane while holding a var lock, and var locks
 //! are only ever held for bounded, non-blocking critical sections, so the
 //! lane-holder's direct writes (which spin on var locks) always terminate.
+//! The sequence word is no lock: reading it never waits.
 
 use crate::obs;
 use crate::tvar::AnyVar;
 use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 static GLOBAL_CLOCK: AtomicU64 = AtomicU64::new(0);
 static HANDLER_LANE: Mutex<()> = Mutex::new(());
+/// The lane sequence word: bumped by every *updating* lane holder right
+/// after it acquires the lane and right before it releases it, so it is odd
+/// exactly while an updating holder is inside. Non-updating holders never
+/// touch it.
+static LANE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Current value of the global version clock.
 pub(crate) fn now() -> u64 {
@@ -84,24 +106,98 @@ pub(crate) fn fresh_version() -> u64 {
 /// Acquire the handler lane. Taken by commit/abort handler execution and by
 /// writing open-nested commits; never while holding any var commit lock.
 /// `txn` is the holding attempt's id, recorded on the trace lane-occupancy
-/// events (enter after acquisition, exit on drop).
-pub(crate) fn lane_lock(txn: u64) -> LaneGuard {
+/// events (enter after acquisition, exit on drop). `updating` says the
+/// holder may change shared state (handlers that apply or compensate,
+/// writing open commits): such a holder makes [`LANE_SEQ`] odd for the
+/// whole hold. An observer that only waits out an updater passes `false`.
+pub(crate) fn lane_lock(txn: u64, updating: bool) -> LaneGuard {
     let inner = HANDLER_LANE.lock();
+    if updating {
+        // Sequenced before every effect of this hold: an observer that
+        // sees any of them then reads the word odd, or reads the exit bump.
+        LANE_SEQ.fetch_add(1, Ordering::SeqCst);
+    }
     obs::lane_enter(txn);
-    LaneGuard { txn, _inner: inner }
+    LaneGuard {
+        txn,
+        updating,
+        _inner: inner,
+    }
+}
+
+/// Whether an updating holder is inside the handler lane now. Called by an
+/// observer-only commit after its last read: the `SeqCst` fence keeps the
+/// load from being satisfied before those reads, so an updater whose effect
+/// the observer read is seen here either still inside (odd) or already out
+/// (its exit bump, which follows every doom it issued).
+pub(crate) fn updater_in_lane() -> bool {
+    fence(Ordering::SeqCst);
+    LANE_SEQ.load(Ordering::Acquire) & 1 == 1
 }
 
 /// RAII ownership of the handler lane; emits the trace lane-exit event when
 /// released so `txtop` can compute lane occupancy.
 pub(crate) struct LaneGuard {
     txn: u64,
+    updating: bool,
     _inner: MutexGuard<'static, ()>,
 }
 
 impl Drop for LaneGuard {
     fn drop(&mut self) {
+        if self.updating {
+            // Before the mutex unlocks (fields drop after this body), and
+            // after every effect of the hold.
+            LANE_SEQ.fetch_add(1, Ordering::Release);
+        }
         obs::lane_exit(self.txn);
     }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// True while this thread runs handlers without an updating lane hold.
+    static RELEASE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` (a batch of handlers) marked release-only when `release_only`:
+/// in debug builds any direct write, write group or doom inside it panics
+/// ([`assert_may_update`]). A no-op wrapper in release builds.
+pub(crate) fn handlers_scope<R>(release_only: bool, f: impl FnOnce() -> R) -> R {
+    #[cfg(debug_assertions)]
+    {
+        struct Reset(bool);
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                RELEASE_ONLY.with(|c| c.set(self.0));
+            }
+        }
+        let _reset = Reset(RELEASE_ONLY.with(|c| c.replace(release_only)));
+        f()
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        let _ = release_only;
+        f()
+    }
+}
+
+/// Debug-build guard on every handler-side update (`what` names it): a
+/// handler running without an updating lane hold belongs to an attempt no
+/// class marked as updating, so a write or doom from it would skip the
+/// lane unseen. Panics with a diagnostic naming the missing mark.
+#[inline]
+pub(crate) fn assert_may_update(what: &'static str) {
+    #[cfg(debug_assertions)]
+    if RELEASE_ONLY.with(|c| c.get()) {
+        panic!(
+            "{what} from a handler running without an updating lane hold: the attempt was \
+             never marked as updating (a class that buffers or applies an update must go \
+             through SemanticCore::with_local / log_undo, or call Txn::mark_updating)"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = what;
 }
 
 /// Spin until `var`'s commit lock is acquired, yielding so single-CPU hosts

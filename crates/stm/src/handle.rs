@@ -125,6 +125,7 @@ impl TxHandle {
     /// layer) can attribute the abort. Pass 0 for an unattributed doom.
     #[must_use = "whether the doom landed; a false return means the target already finished"]
     pub fn doom_from(&self, doomer: u64) -> bool {
+        crate::clock::assert_may_update("doom");
         let mut w = self.word.load(Ordering::Acquire);
         loop {
             if w & STATE_MASK != STATE_ACTIVE {

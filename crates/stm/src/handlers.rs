@@ -11,12 +11,17 @@
 //! half done. Every collection backend apply runs in a group. Handlers run
 //! while the **handler lane** is held — after the owning transaction's point of no return (commit
 //! handlers) or after its memory rollback (abort handlers). The lane
-//! serializes all handler execution and all writing open-nested commits, so a
-//! handler's updates can never conflict with another transaction's handlers,
-//! which subsumes the paper's "commit handlers run closed-nested so conflicts
-//! replay only the handler": under the lane the replay case simply cannot
-//! arise. Plain memory commits do *not* take the lane — they publish in
-//! parallel under their own write set's var locks.
+//! serializes all updating handler execution and all writing open-nested
+//! commits, so a handler's updates can never conflict with another
+//! transaction's handlers, which subsumes the paper's "commit handlers run
+//! closed-nested so conflicts replay only the handler": under the lane the
+//! replay case simply cannot arise. Plain memory commits do *not* take the
+//! lane — they publish in parallel under their own write set's var locks —
+//! and neither do observer-only transactions, whose handlers (registered
+//! with [`crate::Txn::on_class_top`] by an attempt never marked by
+//! [`crate::Txn::mark_updating`]) only release semantic locks; they run
+//! lane-free unless an updating handler is running at commit time (see
+//! `docs/PROTOCOL.md`, "Observer-only commits").
 //!
 //! Handlers registered inside a nested frame are *discarded* if that frame
 //! aborts and *promoted to the parent frame* if it commits, exactly per the
@@ -28,7 +33,8 @@
 use crate::txn::Txn;
 
 /// A commit or abort handler. Runs exactly once, in direct mode, under the
-/// handler lane.
+/// handler lane (an observer-only attempt's release-only handlers may run
+/// without it).
 pub(crate) type Handler = Box<dyn FnOnce(&mut Txn) + Send>;
 
 /// A compensation for *thread-local, non-transactional* state mutated inside

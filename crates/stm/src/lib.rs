@@ -27,7 +27,9 @@
 //!   **handler lane** so that their direct updates can never conflict with
 //!   another transaction's handlers ("the commit handler ... can be replayed
 //!   without rolling back the parent" degenerates to conflict-freedom under
-//!   the lane).
+//!   the lane). Handlers that only release locks — those of an attempt
+//!   never marked by [`Txn::mark_updating`] — skip the lane while no
+//!   updating handler runs.
 //!
 //! The concurrency-control algorithm is TL2-flavored: a global fetch-and-add
 //! version clock, a per-[`TVar`] versioned commit lock, a read-set validated

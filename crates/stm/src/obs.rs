@@ -402,11 +402,13 @@ counters! {
     /// Commit-path contention: per-var commit-lock acquisitions that found
     /// the lock held and had to spin.
     var_lock_spins,
-    /// Handler-lane acquisitions (handler execution and writing open-nested
-    /// commits).
+    /// Handler-lane acquisitions (updating handler execution, writing
+    /// open-nested commits, and observer-only commits waiting out an
+    /// updater).
     lane_entries,
-    /// Top-level commits that never touched the handler lane — the fully
-    /// parallel fast path.
+    /// Top-level commits that never touched the handler lane — handler-free
+    /// commits and observer-only commits (release-only handlers run
+    /// lane-free).
     lane_free_commits,
     /// Semantic-table contention: stripe acquisitions (key stripe or global
     /// stripe) that found the mutex held and had to block.
@@ -738,6 +740,21 @@ pub fn shard_census() -> (usize, usize) {
 #[must_use]
 pub fn global_stats() -> StatsSnapshot {
     StatsSnapshot::from_counts(&REGISTRY.lock().sum())
+}
+
+/// The calling thread's always-on counters: its own shard only, so a
+/// diff of two reads counts exactly the events this thread emitted in
+/// between, whatever other threads do. (A shard is reused after its
+/// thread exits, so a single read is not a per-thread total: diff two.)
+#[must_use]
+pub fn thread_stats() -> StatsSnapshot {
+    let mut counts = [0u64; Ctr::Len as usize];
+    with_shard(|shard| {
+        for (acc, c) in counts.iter_mut().zip(&shard.counts) {
+            *acc = c.load(Relaxed);
+        }
+    });
+    StatsSnapshot::from_counts(&counts)
 }
 
 // ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ use crate::interrupt::{self, AbortCause, TxInterrupt};
 use crate::obs;
 use crate::tvar::{AnyVar, TVar, VarId, WriteGroup};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,10 +20,13 @@ pub enum TxnMode {
     /// Normal execution: reads are logged and validated, writes are buffered
     /// in a redo log until commit.
     Speculative,
-    /// Handler execution under the handler lane: reads see committed state,
-    /// writes publish immediately (per-var commit lock + a fresh clock
-    /// version each, or as one write set per [`Txn::write_group`]).
-    /// Nesting operations are flattened.
+    /// Handler execution: reads see committed state, writes publish
+    /// immediately (per-var commit lock + a fresh clock version each, or as
+    /// one write set per [`Txn::write_group`]). Nesting operations are
+    /// flattened. Handlers run under the handler lane, with one exception:
+    /// the release-only handlers of an attempt never marked as updating
+    /// ([`Txn::mark_updating`]) run without it while no updating holder is
+    /// inside, and must not write or doom (debug builds panic if they do).
     Direct,
 }
 
@@ -128,6 +132,10 @@ pub struct Txn {
     snapshot_reads_served: u64,
     /// The open [`Txn::write_group`] while its body runs in direct mode.
     group: Option<Box<WriteGroup>>,
+    /// Set once this attempt's handlers may change shared state (see
+    /// [`Txn::mark_updating`]); an unset flag makes the attempt an
+    /// observer whose handlers can run without the lane.
+    updating: Cell<bool>,
 }
 
 impl Txn {
@@ -146,6 +154,7 @@ impl Txn {
             snapshot: None,
             snapshot_reads_served: 0,
             group: None,
+            updating: Cell::new(false),
         }
     }
 
@@ -166,6 +175,7 @@ impl Txn {
             snapshot: Some(s),
             snapshot_reads_served: 0,
             group: None,
+            updating: Cell::new(false),
         }
     }
 
@@ -183,6 +193,7 @@ impl Txn {
             snapshot: None,
             snapshot_reads_served: 0,
             group: None,
+            updating: Cell::new(false),
         }
     }
 
@@ -244,6 +255,20 @@ impl Txn {
         if self.snapshot.is_some() {
             self.misuse(diag);
         }
+    }
+
+    /// Mark this attempt as **updating**: some commit or abort handler of it
+    /// may change shared state, so they all run under the handler lane.
+    /// The semantic kernel calls this whenever a class buffers an update
+    /// or logs an undo entry; registering a handler through
+    /// [`Txn::on_commit`] and its siblings, writing a `TVar` in the root
+    /// frame, or committing a writing open child marks it too. An attempt
+    /// that stays unmarked is an *observer*: its handlers (registered with
+    /// [`Txn::on_class_top`]) only release, and it commits without the lane
+    /// unless an updating holder is inside it (docs/PROTOCOL.md,
+    /// "Observer-only commits").
+    pub fn mark_updating(&self) {
+        self.updating.set(true);
     }
 
     /// Abort immediately if another transaction has doomed this one.
@@ -353,6 +378,7 @@ impl Txn {
             // Handler context (holding the handler lane): buffer into the
             // open write group, or lock the var, draw a fresh version,
             // apply-and-release.
+            clock::assert_may_update("direct TVar write");
             match &mut self.group {
                 Some(group) => group.put(var, val),
                 None => clock::publish_direct(var.core.as_ref(), &val),
@@ -398,6 +424,7 @@ impl Txn {
         if self.mode != TxnMode::Direct || self.group.is_some() {
             return f(self);
         }
+        clock::assert_may_update("write group");
         self.group = Some(WriteGroup::open());
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
         let group = self
@@ -483,29 +510,52 @@ impl Txn {
 
     /// Register a commit handler on the *current nesting frame* (paper
     /// semantics: discarded if this frame aborts, promoted on commit).
+    /// Marks the attempt as updating: the handler may write.
     pub fn on_commit(&mut self, h: impl FnOnce(&mut Txn) + Send + 'static) {
         self.reject_registration_in_snapshot();
+        self.mark_updating();
         self.current_frame().commit_handlers.push(Box::new(h));
     }
 
-    /// Register an abort handler on the current nesting frame.
+    /// Register an abort handler on the current nesting frame. Marks the
+    /// attempt as updating.
     pub fn on_abort(&mut self, h: impl FnOnce(&mut Txn) + Send + 'static) {
         self.reject_registration_in_snapshot();
+        self.mark_updating();
         self.current_frame().abort_handlers.push(Box::new(h));
     }
 
     /// Register a commit handler on the **top-level** frame, surviving any
-    /// enclosing closed-nested aborts. Collection classes use this because
-    /// their semantic locks are owned by the top-level handle.
+    /// enclosing closed-nested aborts. Marks the attempt as updating.
     pub fn on_commit_top(&mut self, h: impl FnOnce(&mut Txn) + Send + 'static) {
         self.reject_registration_in_snapshot();
+        self.mark_updating();
         self.frames[0].commit_handlers.push(Box::new(h));
     }
 
-    /// Register an abort handler on the top-level frame.
+    /// Register an abort handler on the top-level frame. Marks the attempt
+    /// as updating.
     pub fn on_abort_top(&mut self, h: impl FnOnce(&mut Txn) + Send + 'static) {
         self.reject_registration_in_snapshot();
+        self.mark_updating();
         self.frames[0].abort_handlers.push(Box::new(h));
+    }
+
+    /// Register a semantic class's commit/abort handler pair on the
+    /// top-level frame (the semantic kernel's registration; collection
+    /// classes' locks are owned by the top-level handle). Unlike
+    /// [`Txn::on_commit_top`], this does **not** mark the attempt as
+    /// updating: the class marks it ([`Txn::mark_updating`]) when it
+    /// buffers or applies an update. Until then both handlers must only
+    /// release what the attempt observed — they may run without the lane.
+    pub fn on_class_top(
+        &mut self,
+        commit: impl FnOnce(&mut Txn) + Send + 'static,
+        abort: impl FnOnce(&mut Txn) + Send + 'static,
+    ) {
+        self.reject_registration_in_snapshot();
+        self.frames[0].commit_handlers.push(Box::new(commit));
+        self.frames[0].abort_handlers.push(Box::new(abort));
     }
 
     /// Register a compensation for thread-local state mutated in the current
@@ -603,9 +653,20 @@ impl Txn {
             self.check_doom();
             let mut child = Txn::new_open_child(handle);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut child)));
+            // Class state a child buffers is keyed by the top-level handle
+            // and outlives the child, whatever becomes of it.
+            if child.updating.get() {
+                self.mark_updating();
+            }
             match outcome {
                 Ok(v) => match child.try_commit_open() {
-                    Ok((committed, h)) => {
+                    Ok((committed, wrote, h)) => {
+                        if wrote {
+                            // A writing open commit went through the lane
+                            // as an updater; the parent's compensation of
+                            // it may write too.
+                            self.mark_updating();
+                        }
                         self.spare_open_handle = Some(h);
                         let parent = self.current_frame();
                         parent.commit_handlers.extend(committed.commit_handlers);
@@ -684,9 +745,10 @@ impl Txn {
 
     /// Commit an open-nested child: validate, publish, and surrender its
     /// root frame (handlers and local undos) plus its handle clone to the
-    /// caller. `Err(handle)` means validation failed and the child should
-    /// re-execute (the handle comes back so the retry reuses it).
-    fn try_commit_open(mut self) -> Result<(Frame, Arc<TxHandle>), Arc<TxHandle>> {
+    /// caller, with whether it published writes. `Err(handle)` means
+    /// validation failed and the child should re-execute (the handle comes
+    /// back so the retry reuses it).
+    fn try_commit_open(mut self) -> Result<(Frame, bool, Arc<TxHandle>), Arc<TxHandle>> {
         debug_assert!(self.is_open_child);
         debug_assert_eq!(self.frames.len(), 1, "open child must end with one frame");
         // Advisory doom check (cheap early exit). The authoritative
@@ -706,13 +768,13 @@ impl Txn {
                 }
             }
             let frame = self.frames.pop().unwrap();
-            return Ok((frame, self.handle));
+            return Ok((frame, false, self.handle));
         }
         // A *writing* open commit publishes direct-mode-visible state, so it
         // serializes with handler execution: lane first, then var locks (a
         // lane-holder's direct writes spin on var locks, so the lane must
         // never be awaited while var locks are held).
-        let lane = clock::lane_lock(self.handle.id());
+        let lane = clock::lane_lock(self.handle.id(), true);
         let guard = clock::CommitGuard::lock_write_set(frame.write_vars());
         for (id, r) in frame.reads.iter() {
             let own = frame.writes.contains_key(id);
@@ -730,7 +792,7 @@ impl Txn {
         });
         drop(lane);
         let frame = self.frames.pop().unwrap();
-        Ok((frame, self.handle))
+        Ok((frame, true, self.handle))
     }
 
     /// Surrender this child's handle clone (retry paths that unwound out of
@@ -796,17 +858,30 @@ impl Txn {
     /// Handler-free transactions — plain memory transactions, the fast path
     /// this refactor shards — skip steps 1 and 6 and execute the rest fully
     /// in parallel with every other disjoint-write-set committer.
+    ///
+    /// An **observer-only** attempt (handlers, but never marked updating
+    /// and no root-frame write: its handlers only release) skips the lane
+    /// too, unless an updating holder is inside it when the commit starts
+    /// — then it takes the lane as a non-updating holder, waits that
+    /// updater out and commits exactly as before (docs/PROTOCOL.md,
+    /// "Observer-only commits").
     pub(crate) fn try_commit_top(&mut self) -> Result<(), AbortCause> {
         debug_assert!(!self.is_open_child);
         debug_assert_eq!(self.frames.len(), 1, "unbalanced nesting at commit");
         let commit_t0 = obs::timer();
         let frame = &self.frames[0];
         let has_handlers = !frame.commit_handlers.is_empty();
+        let updating = self.updating.get() || !frame.writes.is_empty();
         // Lane before var locks, never the reverse: a lane-holder's direct
         // writes spin on var locks, so waiting for the lane while holding a
-        // var lock could deadlock.
-        let lane = if has_handlers {
-            Some(clock::lane_lock(self.handle.id()))
+        // var lock could deadlock. The observer's sequence-word read comes
+        // after every read of its body and before its doom-vs-commit CAS.
+        let lane = if !has_handlers {
+            None
+        } else if updating {
+            Some(clock::lane_lock(self.handle.id(), true))
+        } else if clock::updater_in_lane() {
+            Some(clock::lane_lock(self.handle.id(), false))
         } else {
             None
         };
@@ -838,10 +913,11 @@ impl Txn {
         }
         self.handle.mark_committed();
         if has_handlers {
-            self.run_commit_handlers();
+            clock::handlers_scope(!updating, || self.run_commit_handlers());
         }
+        let lane_free = lane.is_none();
         drop(lane);
-        obs::txn_commit(self.handle.id(), !has_handlers, commit_t0);
+        obs::txn_commit(self.handle.id(), lane_free, commit_t0);
         Ok(())
     }
 
@@ -859,7 +935,7 @@ impl Txn {
         );
         let has_handlers = !frame.commit_handlers.is_empty();
         let lane = if has_handlers {
-            Some(clock::lane_lock(self.handle.id()))
+            Some(clock::lane_lock(self.handle.id(), true))
         } else {
             None
         };
@@ -908,10 +984,11 @@ impl Txn {
         obs::snapshot_abandoned(self.handle.id(), self.snapshot_reads_served, fallback);
     }
 
-    /// Drain commit handlers in direct mode. The caller holds the handler
-    /// lane (committer-holds-lane-through-handlers), so the collections'
-    /// apply-buffer-then-doom-scan protocol never interleaves with another
-    /// transaction's handlers.
+    /// Drain commit handlers in direct mode. The caller of an updating
+    /// attempt holds the handler lane (committer-holds-lane-through-
+    /// handlers), so the collections' apply-buffer-then-doom-scan protocol
+    /// never interleaves with another transaction's handlers; an observer's
+    /// handlers only release and may run lane-free.
     fn run_commit_handlers(&mut self) {
         self.mode = TxnMode::Direct;
         // Drain iteratively so a handler that registers another handler
@@ -951,10 +1028,13 @@ impl Txn {
         }
         if !self.frames[0].abort_handlers.is_empty() {
             // Compensation runs under the handler lane, serialized with all
-            // other handler execution and writing open commits.
-            let _lane = clock::lane_lock(self.handle.id());
+            // other handler execution and writing open commits. An
+            // observer's abort handlers only release its locks, so it never
+            // takes the lane.
+            let updating = self.updating.get();
+            let _lane = updating.then(|| clock::lane_lock(self.handle.id(), true));
             self.mode = TxnMode::Direct;
-            loop {
+            clock::handlers_scope(!updating, || loop {
                 let hs: Vec<Handler> = std::mem::take(&mut self.frames[0].abort_handlers);
                 if hs.is_empty() {
                     break;
@@ -963,7 +1043,7 @@ impl Txn {
                     obs::handler_run();
                     h(self);
                 }
-            }
+            });
             self.frames[0].commit_handlers.clear();
             // Mark aborted only now, still holding the lane: compensation
             // (undo of any in-place effects, semantic-lock release) is

@@ -175,7 +175,9 @@ fn open_read_leaves_no_parent_dependencies() {
         }
     });
 
-    let before = stm::global_stats();
+    // This thread's counters only: other tests of this binary run open
+    // children concurrently, and a process-wide diff would count theirs.
+    let before = stm::obs::thread_stats();
     let at = attempts.clone();
     atomic(|tx| {
         at.fetch_add(1, Ordering::SeqCst);
@@ -191,7 +193,7 @@ fn open_read_leaves_no_parent_dependencies() {
         1,
         "flattened read must not create a parent dependency"
     );
-    let d = stm::global_stats().diff(&before);
+    let d = stm::obs::thread_stats().diff(&before);
     assert_eq!(d.open_commits, 0, "no child transaction may be spawned");
     assert!(d.open_flattened >= 1, "the flattened read must be counted");
 }

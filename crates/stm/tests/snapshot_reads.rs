@@ -6,12 +6,18 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use stm::{atomic, atomic_read, global_stats, TVar};
 
 /// Serializes the tests that assert exact deltas on process-global
 /// counters; tests in this binary run concurrently otherwise.
 static STATS_GATE: Mutex<()> = Mutex::new(());
+
+/// Take [`STATS_GATE`], ignoring poison: a test that failed while holding
+/// it must not fail every later test of the binary as well.
+fn stats_gate() -> MutexGuard<'static, ()> {
+    STATS_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spin_until(flag: &AtomicBool) {
     while !flag.load(Ordering::Acquire) {
@@ -25,7 +31,7 @@ fn spin_until(flag: &AtomicBool) {
 /// commit reclaims the whole chain.
 #[test]
 fn pinned_snapshot_is_stable_and_chain_is_reclaimed() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let before = global_stats();
     let v = Arc::new(TVar::new(0u64));
     let go = Arc::new(AtomicBool::new(false));
@@ -100,7 +106,7 @@ fn pinned_snapshot_is_stable_and_chain_is_reclaimed() {
 /// counted in `snapshot_fallbacks`, not silent and not an abort.
 #[test]
 fn chain_truncation_falls_back_to_validated_path() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let before = global_stats();
     let b = Arc::new(TVar::new(0u64));
     let go = Arc::new(AtomicBool::new(false));
@@ -157,7 +163,7 @@ fn chain_truncation_falls_back_to_validated_path() {
 /// with zero aborts on either side.
 #[test]
 fn snapshot_readers_never_abort_and_never_doom_writers() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let before = global_stats();
     const VARS: usize = 4;
     let vars: Arc<Vec<TVar<i64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
@@ -217,7 +223,7 @@ fn snapshot_readers_never_abort_and_never_doom_writers() {
 /// unchanged under `atomic_read`.
 #[test]
 fn snapshot_nesting_flattens() {
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let v = TVar::new(7u32);
     let reads = atomic_read(|tx| {
         [
@@ -237,7 +243,7 @@ fn snapshot_nesting_flattens() {
 fn write_inside_snapshot_panics_cleanly() {
     // The misuse teardown records an explicit abort; keep it out of the
     // gated tests' abort deltas.
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     let v = Arc::new(TVar::new(1u32));
     let v2 = v.clone();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -255,7 +261,7 @@ fn run_generation_race(batches: &[Vec<(usize, i64)>]) -> Result<(), TestCaseErro
     // Observers may legitimately fall back (depth-bound outrun) and retry
     // validated; hold the stats gate so those events never leak into a
     // concurrently running test's exact-delta assertions.
-    let _g = STATS_GATE.lock().unwrap();
+    let _g = stats_gate();
     const VARS: usize = 4;
     // expected[g] = full state after generation g (generation 0 = initial).
     let mut expected: Vec<[i64; VARS]> = vec![[0; VARS]];

@@ -22,11 +22,12 @@ const TXN_ENTRY_FNS: [&str; 4] = ["atomic", "atomic_read", "atomic_with", "specu
 /// region.
 const TXN_NEST_METHODS: [&str; 2] = ["closed", "open"];
 /// Method names whose argument span is a handler region.
-const HANDLER_METHODS: [&str; 5] = [
+const HANDLER_METHODS: [&str; 6] = [
     "on_commit",
     "on_commit_top",
     "on_abort",
     "on_abort_top",
+    "on_class_top",
     "on_local_undo",
 ];
 /// Handler methods that register commit-side effects (TX004 trigger).
@@ -612,7 +613,7 @@ fn tx008_direct_handler_registration(
         if t.kind != TokKind::Ident {
             continue;
         }
-        if (t.is_ident("on_commit_top") || t.is_ident("on_abort_top"))
+        if (t.is_ident("on_commit_top") || t.is_ident("on_abort_top") || t.is_ident("on_class_top"))
             && i.checked_sub(1).and_then(|p| toks[p].punct()) == Some('.')
             && toks.get(i + 1).and_then(Tok::punct) == Some('(')
         {
@@ -624,7 +625,7 @@ fn tx008_direct_handler_registration(
                     "direct `.{}(..)` handler registration in a semantic-tables file",
                     t.text
                 ),
-                "collection classes must register handlers through SemanticCore::ensure_registered, which discharges the probe -> commit handler -> abort handler -> locals-insert ordering once; only the kernel file (semantic-kernel marker) registers on_commit_top/on_abort_top directly",
+                "collection classes must register handlers through SemanticCore::ensure_registered, which discharges the probe -> commit handler -> abort handler -> locals-insert ordering once; only the kernel file (semantic-kernel marker) registers on_commit_top/on_abort_top/on_class_top directly",
             ));
         }
     }
@@ -1250,6 +1251,7 @@ const TX013_LOCKING_METHODS: &[&str] = &[
     "note_key_lock",
     "note_point_lock",
     "with_local",
+    "observe_local",
     "log_undo",
 ];
 

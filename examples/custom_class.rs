@@ -131,11 +131,16 @@ impl SemanticClass for HistClass {
                 }
             },
         );
-        global.finish(|g| {
-            if grew {
-                g.doom(UpdateEffect::SizeChange);
-            }
-        });
+        // `true`: this class does not track whether the owner took the
+        // size lock (`total()`), so the global stripe is always visited to
+        // release it; a class that tracks it can pass the flag and skip
+        // the visit on commits that doom nothing there.
+        let effects: &[UpdateEffect] = if grew {
+            &[UpdateEffect::SizeChange]
+        } else {
+            &[]
+        };
+        global.finish(true, effects);
     }
 
     /// Abort handler body (guideline 4): writes were only buffered, so the

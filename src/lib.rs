@@ -21,6 +21,6 @@ pub use txstruct;
 /// ready-made key/size/empty lock tables for keyed classes; dooms raised
 /// during [`ClassTables::commit_sweep`] go through [`KeyCtx`], and the
 /// global phase that the [`GlobalPhase`] token forces to run last dooms
-/// point-lock holders through [`PointCtx`]. See `examples/custom_class.rs`
-/// for the full walkthrough.
-pub use txcollections::{ClassTables, GlobalPhase, KeyCtx, PointCtx, SemanticClass, SemanticCore};
+/// point-lock holders with the effects the class names. See
+/// `examples/custom_class.rs` for the full walkthrough.
+pub use txcollections::{ClassTables, GlobalPhase, KeyCtx, SemanticClass, SemanticCore};
